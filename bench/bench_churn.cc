@@ -86,7 +86,7 @@ std::vector<serve::ServeEvent> decision_script() {
   for (std::size_t i = 0; i < 12; ++i) {
     serve::ServeEvent e;
     e.kind = EventKind::kRegister;
-    e.id = "w" + std::to_string(i);
+    e.id = std::string("w").append(std::to_string(i));
     e.workload = kNames[i % 3];
     e.size_factor = 0.0625 * (1.0 + static_cast<double>(i % 4) * 1e-6);
     e.clients = 2;

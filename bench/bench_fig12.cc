@@ -45,9 +45,10 @@ int main(int argc, char** argv) {
                   static_cast<double>(orig.exec_time);
     }
     const auto n = static_cast<double>(apps.size());
-    table.add_row_numeric("(" + std::to_string(w) + "," + std::to_string(x) +
-                              "," + std::to_string(y) + ")",
-                          {io_sum / n, exec_sum / n}, 3);
+    std::string label = "(";
+    label.append(std::to_string(w)).append(",").append(std::to_string(x));
+    label.append(",").append(std::to_string(y)).append(")");
+    table.add_row_numeric(label, {io_sum / n, exec_sum / n}, 3);
   }
   bench::print_table(table);
   std::cout << "paper trend: improvements grow with w/x and x/y; "

@@ -1,8 +1,9 @@
 // Scaling benchmark for the parallel mapping pipeline: sweeps synthetic
 // iteration-chunk tables over (chunk count x thread count) and times the
-// three parallel stages — similarity-graph construction, hierarchical
-// clustering, and the full map_chunks run — verifying along the way that
-// every thread count produces a mapping bit-identical to the serial one.
+// three parallel stages — similarity scoring (the affinity kernel),
+// hierarchical clustering, and the full map_chunks run — verifying along
+// the way that every thread count produces a mapping bit-identical to the
+// serial one.
 //
 // Output: the standard table on stdout plus a machine-readable JSON file,
 // BENCH_scaling.json by default (override with --json=<path>).
@@ -16,7 +17,6 @@
 
 #include "bench/common.h"
 #include "core/clustering.h"
-#include "core/graph.h"
 #include "core/mapper.h"
 #include "support/check.h"
 #include "support/rng.h"
@@ -32,8 +32,8 @@ using namespace mlsc;
 // Tags draw their bits from a window that slides across the data space
 // with the chunk index, so nearby chunks share many data chunks and
 // distant ones share none — the structured locality the clustering stage
-// sees in real workloads (and the regime where the inverted index and the
-// CSR graph actually have work to do).
+// sees in real workloads (and the regime where the posting index actually
+// has work to do).
 std::vector<core::IterationChunk> make_chunks(std::size_t n, std::size_t width,
                                               Rng& rng) {
   std::vector<core::IterationChunk> chunks;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
             << "synthetic chunk tables, " << width
             << " data chunks, windowed sharing; times in ms\n\n";
 
-  Table table({"chunks", "threads", "graph_ms", "cluster_ms", "map_ms",
+  Table table({"chunks", "threads", "score_ms", "cluster_ms", "map_ms",
                "map_speedup", "identical"});
   bool all_identical = true;
 
@@ -139,13 +139,11 @@ int main(int argc, char** argv) {
         return best;
       };
 
-      std::size_t graph_nodes = 0;
-      const double graph_ms = timed_min([&] {
-        core::GraphOptions graph_options;
-        graph_options.pool = pool_ptr;
-        const core::ChunkGraph graph(chunks, graph_options);
-        graph_nodes = graph.num_nodes();
-      });
+      std::vector<std::uint32_t> all(n);
+      for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+      const auto singletons = core::make_singletons(all, chunks);
+      const double score_ms = timed_min(
+          [&] { core::score_clusters(singletons, pool_ptr); });
 
       const double cluster_ms = timed_min([&] {
         auto working = chunks;
@@ -172,17 +170,16 @@ int main(int argc, char** argv) {
       }
 
       std::cerr << "[bench] chunks=" << n << " threads=" << threads
-                << " graph=" << format_double(graph_ms, 1)
+                << " score=" << format_double(score_ms, 1)
                 << "ms cluster=" << format_double(cluster_ms, 1)
                 << "ms map=" << format_double(map_ms, 1) << "ms\n";
 
       table.add_row({std::to_string(n), std::to_string(threads),
-                     format_double(graph_ms, 2), format_double(cluster_ms, 2),
+                     format_double(score_ms, 2), format_double(cluster_ms, 2),
                      format_double(map_ms, 2),
                      map_ms > 0.0 ? format_double(serial_map_ms / map_ms, 2)
                                   : "n/a",
                      identical ? "yes" : "NO"});
-      MLSC_CHECK(graph_nodes == n, "graph lost nodes");
     }
   }
 

@@ -1,13 +1,12 @@
 // Similarity-pipeline benchmark (DESIGN.md §15): sweeps synthetic
-// iteration-chunk tables from 8k chunks upward and times the three-stage
-// similarity kernel against the exhaustive reference where feasible —
-//   graph_ms    inverted-index candidate generation + scoring + freeze
-//   exact_ms    the O(n^2) oracle sweep (rows small enough to afford it)
+// iteration-chunk tables from 8k chunks upward and times the affinity
+// kernel the mapper calls, and the stages built on it —
+//   score_ms    core::score_clusters: posting index + row scoring
 //   cluster_ms  the affinity-forest clustering kernel
-//   greedy_ms   the greedy merge oracle (same feasibility cutoff)
+//   greedy_ms   the greedy merge oracle (rows up to --exact-cap)
 //   map_ms      the full hierarchical map end-to-end
-// plus the candidate-pair reduction ratio (scored / all pairs — the
-// deterministic CI-guarded metric) and the banding variant's pair count.
+// plus the scored pair count and the candidate-pair reduction ratio
+// (scored / all pairs — the deterministic CI-guarded metrics).
 // A second table reports mapping quality: the engine-simulated cost
 // (exec time) of real workloads mapped with the greedy oracle vs the
 // forest kernel.
@@ -15,11 +14,9 @@
 // Output: tables on stdout plus BENCH_similarity.json (override with
 // --json=<path>).  Extra flags:
 //   --max-chunks=N  largest sweep size (default 262144, up to 1048576)
-//   --exact-cap=N   run the exact oracle up to N chunks (default 8192)
+//   --exact-cap=N   run the greedy oracle up to N chunks (default 8192)
 //   --threads=N     mapping threads, 0 = all cores (default 0)
 //   --target=N      clusters per clustering timing run (default 16)
-//   --bands=N --rows=N --hot-cap=N   candidate filters for the banded
-//                                    column (default 8 bands x 2 rows)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -31,7 +28,6 @@
 
 #include "bench/common.h"
 #include "core/clustering.h"
-#include "core/graph.h"
 #include "core/mapper.h"
 #include "sim/experiment.h"
 #include "support/check.h"
@@ -111,8 +107,6 @@ int main(int argc, char** argv) {
   std::size_t exact_cap = 8192;
   std::size_t threads = 0;
   std::size_t target = 16;
-  core::MinhashParams banding{.bands = 8, .rows = 2};
-  std::size_t hot_cap = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--max-chunks=", 0) == 0) {
@@ -123,14 +117,6 @@ int main(int argc, char** argv) {
       threads = parse_size_flag(arg, "--threads=");
     } else if (arg.rfind("--target=", 0) == 0) {
       target = parse_size_flag(arg, "--target=");
-    } else if (arg.rfind("--bands=", 0) == 0) {
-      banding.bands = static_cast<std::uint32_t>(
-          parse_size_flag(arg, "--bands="));
-    } else if (arg.rfind("--rows=", 0) == 0) {
-      banding.rows = static_cast<std::uint32_t>(
-          parse_size_flag(arg, "--rows="));
-    } else if (arg.rfind("--hot-cap=", 0) == 0) {
-      hot_cap = parse_size_flag(arg, "--hot-cap=");
     }
   }
   MLSC_CHECK(max_chunks <= (1u << 20), "--max-chunks tops out at 1048576");
@@ -147,12 +133,10 @@ int main(int argc, char** argv) {
   const auto tree =
       topology::make_layered_hierarchy(8, 4, 2, 4 * kMiB, 4 * kMiB, 4 * kMiB);
 
-  std::cout << "== similarity: sub-quadratic graph + affinity forest ==\n"
+  std::cout << "== similarity: affinity kernel + affinity forest ==\n"
             << "synthetic chunk tables, 2n data chunks, windowed sharing; "
                "times in ms\n"
-            << "exact oracle columns up to " << exact_cap
-            << " chunks; banded column: " << banding.bands << " bands x "
-            << banding.rows << " rows\n\n";
+            << "greedy oracle column up to " << exact_cap << " chunks\n\n";
 
   const auto timed_min = [&](auto&& body) {
     double best = std::numeric_limits<double>::infinity();
@@ -164,8 +148,7 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  Table table({"chunks", "graph_ms", "exact_ms", "graph_speedup",
-               "candidate_pairs", "reduction_ratio", "banded_pairs",
+  Table table({"chunks", "score_ms", "candidate_pairs", "reduction_ratio",
                "cluster_ms", "greedy_ms", "map_ms"});
 
   for (const std::size_t n : chunk_counts) {
@@ -173,44 +156,23 @@ int main(int argc, char** argv) {
     const auto chunks = make_chunks(n, rng);
     const bool feasible = n <= exact_cap;
 
-    // Stage 1+2: candidate generation + scoring.  The graph is built in
-    // a nested scope so its CSR is freed before the clustering and map
-    // runs; only the stats survive.
-    core::GraphStats stats;
-    std::size_t num_edges = 0;
-    const double graph_ms = timed_min([&] {
-      core::GraphOptions options;
-      options.pool = pool_ptr;
-      const core::ChunkGraph graph(chunks, options);
-      stats = graph.stats();
-      num_edges = graph.num_edges();
-    });
-
-    // Banding variant: same build with the LSH filter on; the surviving
-    // pair count is deterministic (SplitMix64, pinned seed).
-    core::GraphStats banded_stats;
-    timed_min([&] {
-      core::GraphOptions options;
-      options.pool = pool_ptr;
-      options.banding = banding;
-      options.hot_posting_cap = hot_cap;
-      const core::ChunkGraph graph(chunks, options);
-      banded_stats = graph.stats();
-    });
-
-    double exact_ms = std::numeric_limits<double>::quiet_NaN();
-    if (feasible) {
-      exact_ms = timed_min([&] {
-        core::GraphOptions options;
-        options.pool = pool_ptr;
-        options.exact = true;
-        const core::ChunkGraph graph(chunks, options);
-        MLSC_CHECK(graph.num_edges() == num_edges,
-                   "candidate graph lost edges vs the exact sweep");
+    // Scoring: the kernel both clustering kernels start from.
+    std::size_t candidate_pairs = 0;
+    double score_ms = 0.0;
+    {
+      std::vector<std::uint32_t> all(n);
+      for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+      const auto singletons = core::make_singletons(all, chunks);
+      score_ms = timed_min([&] {
+        candidate_pairs = core::score_clusters(singletons, pool_ptr).size();
       });
     }
+    const std::uint64_t total_pairs =
+        static_cast<std::uint64_t>(n) * (n - 1) / 2;
+    const double reduction_ratio = static_cast<double>(candidate_pairs) /
+                                   static_cast<double>(total_pairs);
 
-    // Stage 3: clustering — the forest kernel, and the greedy oracle on
+    // Clustering — the forest kernel, and the greedy oracle on
     // feasible rows.
     const double cluster_ms = timed_min([&] {
       auto working = chunks;
@@ -250,25 +212,20 @@ int main(int argc, char** argv) {
     MLSC_CHECK(mapped_clients == tree.num_clients(),
                "map lost clients at " << n << " chunks");
 
-    std::cerr << "[bench] chunks=" << n << " graph="
-              << format_double(graph_ms, 1) << "ms cluster="
+    std::cerr << "[bench] chunks=" << n << " score="
+              << format_double(score_ms, 1) << "ms cluster="
               << format_double(cluster_ms, 1) << "ms map="
-              << format_double(map_ms, 1) << "ms pairs="
-              << stats.scored_pairs << "/" << stats.total_pairs << "\n";
+              << format_double(map_ms, 1) << "ms pairs=" << candidate_pairs
+              << "/" << total_pairs << "\n";
 
     const auto opt = [](double v, int digits) {
       return std::isfinite(v) ? format_double(v, digits) : std::string("-");
     };
-    table.add_row(
-        {std::to_string(n), format_double(graph_ms, 2), opt(exact_ms, 2),
-         std::isfinite(exact_ms) && graph_ms > 0.0
-             ? format_double(exact_ms / graph_ms, 2)
-             : "-",
-         std::to_string(stats.scored_pairs),
-         format_double(stats.reduction_ratio(), 6),
-         std::to_string(banded_stats.scored_pairs),
-         format_double(cluster_ms, 2), opt(greedy_ms, 2),
-         format_double(map_ms, 2)});
+    table.add_row({std::to_string(n), format_double(score_ms, 2),
+                   std::to_string(candidate_pairs),
+                   format_double(reduction_ratio, 6),
+                   format_double(cluster_ms, 2), opt(greedy_ms, 2),
+                   format_double(map_ms, 2)});
   }
   bench::print_table(table, "similarity");
 

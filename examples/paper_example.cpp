@@ -6,10 +6,12 @@
 // would emit.
 //
 // Run: ./build/examples/paper_example
+#include <algorithm>
 #include <iostream>
+#include <numeric>
 
 #include "core/client_codegen.h"
-#include "core/graph.h"
+#include "core/clustering.h"
 #include "core/pipeline.h"
 #include "core/tagging.h"
 #include "support/table.h"
@@ -59,9 +61,21 @@ int main() {
   std::cout << "Figure 8 tags:\n";
   tags.print(std::cout);
 
-  const core::ChunkGraph graph(tagging.chunks);
-  std::cout << "\nFigure 8 similarity graph (graphviz):\n"
-            << graph.to_dot(tagging.chunks, space.num_chunks());
+  // The similarity graph's edges, as the clustering stage scores them:
+  // weight = common tag bits, zero-weight pairs omitted.
+  std::vector<std::uint32_t> all(tagging.chunks.size());
+  std::iota(all.begin(), all.end(), 0u);
+  auto edges =
+      core::score_clusters(core::make_singletons(all, tagging.chunks));
+  std::sort(edges.begin(), edges.end(), [](const auto& x, const auto& y) {
+    return x.u != y.u ? x.u < y.u : x.v < y.v;
+  });
+  std::cout << "\nFigure 8 similarity graph (edge weight = common data "
+               "chunks):\n";
+  for (const core::AffinityEdge& e : edges) {
+    std::cout << "  γ" << e.u + 1 << " - γ" << e.v + 1 << ": " << e.score
+              << "\n";
+  }
 
   // Figures 9/17: map and schedule.
   core::PipelineOptions options;

@@ -1,7 +1,7 @@
 #include "core/clustering.h"
 
 #include <algorithm>
-#include <atomic>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 
@@ -65,6 +65,37 @@ std::vector<Cluster> make_singletons(
   return out;
 }
 
+std::vector<AffinityEdge> score_clusters(const std::vector<Cluster>& clusters,
+                                         ThreadPool* pool) {
+  const auto n = static_cast<std::uint32_t>(clusters.size());
+  // Post under the touched data chunks renumbered densely, so the index
+  // is as large as the data these clusters touch, not the data space.
+  std::uint32_t width = 0;
+  for (const Cluster& c : clusters) {
+    if (!c.tag.empty()) width = std::max(width, c.tag.entries().back().pos + 1);
+  }
+  std::vector<std::uint32_t> key_of(width, UINT32_MAX);
+  std::uint32_t num_keys = 0;
+  PostingIndex index;
+  std::vector<std::uint32_t> rows(n);
+  std::vector<std::uint32_t> sizes(n);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    rows[a] = a;
+    sizes[a] = static_cast<std::uint32_t>(clusters[a].members.size());
+    for (const auto& entry : clusters[a].tag.entries()) {
+      std::uint32_t& key = key_of[entry.pos];
+      if (key == UINT32_MAX) key = num_keys++;
+      index.post(key, a, entry.count);
+    }
+  }
+  const RowKeys keys_of = [&](std::uint32_t a, std::vector<PostedKey>& out) {
+    for (const auto& entry : clusters[a].tag.entries()) {
+      out.push_back(PostedKey{key_of[entry.pos], entry.count});
+    }
+  };
+  return score_rows(index, rows, keys_of, sizes, pool);
+}
+
 namespace {
 
 /// One candidate merge, with the versions of both clusters at the time
@@ -99,13 +130,12 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
   std::vector<std::uint32_t> version(n, 0);
   std::priority_queue<MergeCandidate> heap;
 
-  // Inverted index: data chunk -> (cluster, per-chunk count, version).
-  // Only cluster pairs sharing a data chunk have a nonzero dot product,
-  // so candidate generation walks the index instead of the O(V^2) pair
-  // space, and the dot products of one cluster against every candidate
-  // accumulate in a single pass (dot(a,c) = sum over shared chunks of
-  // count_a * count_c).  Entries go stale when their cluster merges (its
-  // version bumps) and are compacted away on the next scan.
+  // Versioned inverted index for re-scoring merged clusters: data chunk
+  // -> (cluster, per-chunk count, version).  The dot products of one
+  // cluster against every candidate accumulate in a single pass
+  // (dot(a,c) = sum over shared chunks of count_a * count_c).  Entries go
+  // stale when their cluster merges (its version bumps) and are
+  // compacted away on the next scan.
   struct IndexEntry {
     std::uint32_t cluster;
     std::uint32_t count;
@@ -150,56 +180,24 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
       acc[b] = 0;
     }
   };
+
+  // Initial candidates: every pair sharing data, from the shared
+  // affinity kernel.  The candidate comparator is a total order and the
+  // versions all start at 0, so the merge sequence depends only on this
+  // set, not on the order the kernel emits it in.
   obs::Span sweep_span("pipeline.similarity_sweep");
   sweep_span.arg("clusters", static_cast<std::uint64_t>(n));
-  if (pool != nullptr && pool->num_threads() > 1 && n >= 256) {
-    // Parallel initial scoring: index every cluster first (read-only
-    // thereafter), then score each cluster a against the indexed b < a
-    // concurrently.  The candidates per a land in per-a slots and are
-    // pushed in a order, so the heap receives exactly the multiset the
-    // serial interleaved loop builds — and the candidate comparator is a
-    // total order, so the merge sequence is bit-identical.
-    for (std::uint32_t a = 0; a < n; ++a) index_cluster(a);
-    std::vector<std::vector<MergeCandidate>> initial(n);
-    pool->parallel_for(
-        0, n, pool->default_grain(n), [&](std::size_t lo, std::size_t hi) {
-          thread_local std::vector<std::uint64_t> local_acc;
-          thread_local std::vector<std::uint32_t> local_touched;
-          if (local_acc.size() < n) local_acc.resize(n, 0);
-          for (std::size_t a = lo; a < hi; ++a) {
-            local_touched.clear();
-            for (const auto& tag_entry : clusters[a].tag.entries()) {
-              const auto it = bit_index.find(tag_entry.pos);
-              if (it == bit_index.end()) continue;
-              const std::uint64_t ca = tag_entry.count;
-              for (const IndexEntry& e : it->second) {
-                if (e.cluster >= a) break;  // entries are id-ascending
-                if (local_acc[e.cluster] == 0) {
-                  local_touched.push_back(e.cluster);
-                }
-                local_acc[e.cluster] += ca * e.count;
-              }
-            }
-            for (std::uint32_t b : local_touched) {
-              const double denom =
-                  static_cast<double>(clusters[a].members.size()) *
-                  static_cast<double>(clusters[b].members.size());
-              initial[a].push_back(MergeCandidate{
-                  static_cast<double>(local_acc[b]) / denom, b,
-                  static_cast<std::uint32_t>(a), 0, 0});
-              local_acc[b] = 0;  // keep the scratch all-zero between rows
-            }
-          }
-        });
-    for (auto& list : initial) {
-      for (const MergeCandidate& c : list) heap.push(c);
+  {
+    const std::vector<AffinityEdge> edges = score_clusters(clusters, pool);
+    std::vector<MergeCandidate> initial;
+    initial.reserve(edges.size());
+    for (const AffinityEdge& e : edges) {
+      initial.push_back(MergeCandidate{e.score, e.u, e.v, 0, 0});
     }
-  } else {
-    for (std::uint32_t a = 0; a < n; ++a) {
-      push_candidates(a);
-      index_cluster(a);
-    }
+    heap = std::priority_queue<MergeCandidate>(std::less<MergeCandidate>(),
+                                               std::move(initial));
   }
+  for (std::uint32_t a = 0; a < n; ++a) index_cluster(a);
   sweep_span.arg("candidates", static_cast<std::uint64_t>(heap.size()));
   sweep_span.end();
   MLSC_COUNTER_ADD("pipeline.sweep_candidates", heap.size());
@@ -245,16 +243,9 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
                   });
       }
       MLSC_CHECK(fallback_ids.size() >= 2, "fewer than two clusters alive");
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < fallback_ids.size(); ++p) {
-        const std::uint64_t combined =
-            clusters[fallback_ids[p]].iterations +
-            clusters[fallback_ids[p + 1]].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          fallback_pos = p;
-        }
-      }
+      fallback_pos = smallest_adjacent_pair(
+          fallback_ids.size(),
+          [&](std::size_t p) { return clusters[fallback_ids[p]].iterations; });
       best.a = std::min(fallback_ids[fallback_pos],
                         fallback_ids[fallback_pos + 1]);
       best.b = std::max(fallback_ids[fallback_pos],
@@ -294,165 +285,12 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
   clusters = std::move(survivors);
 }
 
-// ---------------------------------------------------------------------------
 // Affinity-forest kernel (DESIGN.md §15): the scalable replacement for
-// the greedy merge heap.  Candidate edges between clusters come from the
-// data-chunk inverted index (only pairs sharing a data chunk can have a
-// nonzero dot product); a Borůvka-style maximum-spanning-forest build
-// hooks every component to its best-scoring neighbor per round; the
-// forest is then cut to `target` components by replaying its edges in
-// score order (single-linkage semantics).  Components the forest leaves
-// disconnected fall back to the same rank-adjacent smallest-pair merge
-// the greedy kernel uses for zero-sharing inputs.
-
-/// One scored candidate edge, u < v (original cluster ids).  (score, u,
-/// v) is a strict total order over distinct edges — the tie-break makes
-/// every parallel max-reduction deterministic.
-struct ForestEdge {
-  double score = 0;
-  std::uint32_t u = 0;
-  std::uint32_t v = 0;
-};
-
-bool edge_better(const ForestEdge& x, const ForestEdge& y) {
-  if (x.score != y.score) return x.score > y.score;
-  if (x.u != y.u) return x.u < y.u;
-  return x.v < y.v;
-}
-
-/// Union-find with path compression; unions attach the larger root under
-/// the smaller, so a component's root is always its smallest member id.
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  std::uint32_t root = x;
-  while (parent[root] != root) root = parent[root];
-  while (parent[x] != root) {
-    const std::uint32_t next = parent[x];
-    parent[x] = root;
-    x = next;
-  }
-  return root;
-}
-
-bool uf_union(std::vector<std::uint32_t>& parent, std::uint32_t a,
-              std::uint32_t b) {
-  const std::uint32_t ra = uf_find(parent, a);
-  const std::uint32_t rb = uf_find(parent, b);
-  if (ra == rb) return false;
-  parent[std::max(ra, rb)] = std::min(ra, rb);
-  return true;
-}
-
-/// Scores every cluster pair that shares at least one data chunk, via
-/// the inverted index, in parallel over `pool`.  Edges come out grouped
-/// by the larger endpoint ascending — a deterministic order.
-std::vector<ForestEdge> forest_candidate_edges(
-    const std::vector<Cluster>& clusters, ThreadPool* pool,
-    const ClusterOptions& options) {
-  const std::size_t n = clusters.size();
-  obs::Span span("pipeline.candidate_gen");
-  span.arg("clusters", static_cast<std::uint64_t>(n));
-
-  struct IndexEntry {
-    std::uint32_t cluster;
-    std::uint32_t count;
-  };
-  std::unordered_map<std::uint32_t, std::vector<IndexEntry>> bit_index;
-  for (std::uint32_t a = 0; a < n; ++a) {
-    for (const auto& entry : clusters[a].tag.entries()) {
-      bit_index[entry.pos].push_back(IndexEntry{a, entry.count});
-    }
-  }
-  std::uint64_t hot_skipped = 0;
-  if (options.hot_posting_cap > 0) {
-    for (auto& [pos, list] : bit_index) {
-      if (list.size() > options.hot_posting_cap) {
-        list.clear();
-        ++hot_skipped;
-      }
-    }
-  }
-
-  std::vector<std::uint64_t> band_keys;
-  const MinhashParams& banding = options.banding;
-  if (banding.enabled()) {
-    band_keys.resize(n * banding.bands);
-    std::vector<std::uint32_t> positions;
-    for (std::size_t a = 0; a < n; ++a) {
-      positions.clear();
-      for (const auto& entry : clusters[a].tag.entries()) {
-        positions.push_back(entry.pos);
-      }
-      minhash_band_keys(positions, banding, band_keys.data() + a * banding.bands);
-    }
-  }
-
-  // Per-a slots keep the parallel fill deterministic; entries in every
-  // posting list are id-ascending, so scoring a against b < a stops at
-  // the first entry >= a.
-  std::vector<std::vector<ForestEdge>> per_row(n);
-  std::atomic<std::uint64_t> pruned{0};
-  auto score_rows = [&](std::size_t lo, std::size_t hi) {
-    thread_local std::vector<std::uint64_t> acc;
-    thread_local std::vector<std::uint32_t> touched;
-    if (acc.size() < n) acc.resize(n, 0);
-    std::uint64_t local_pruned = 0;
-    for (std::size_t a = lo; a < hi; ++a) {
-      touched.clear();
-      for (const auto& tag_entry : clusters[a].tag.entries()) {
-        const auto it = bit_index.find(tag_entry.pos);
-        if (it == bit_index.end()) continue;
-        const std::uint64_t ca = tag_entry.count;
-        for (const IndexEntry& e : it->second) {
-          if (e.cluster >= a) break;
-          if (acc[e.cluster] == 0) touched.push_back(e.cluster);
-          acc[e.cluster] += ca * e.count;
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& out = per_row[a];
-      out.reserve(touched.size());
-      for (const std::uint32_t b : touched) {
-        const std::uint64_t dot = acc[b];
-        acc[b] = 0;  // keep the scratch all-zero between rows
-        if (banding.enabled() &&
-            !minhash_shares_band(band_keys.data() + b * banding.bands,
-                                 band_keys.data() + a * banding.bands,
-                                 banding)) {
-          ++local_pruned;
-          continue;
-        }
-        const double denom = static_cast<double>(clusters[a].members.size()) *
-                             static_cast<double>(clusters[b].members.size());
-        out.push_back(ForestEdge{static_cast<double>(dot) / denom, b,
-                                 static_cast<std::uint32_t>(a)});
-      }
-    }
-    pruned.fetch_add(local_pruned, std::memory_order_relaxed);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && n >= 256) {
-    pool->parallel_for(0, n, pool->default_grain(n), score_rows);
-  } else {
-    score_rows(0, n);
-  }
-
-  std::size_t total = 0;
-  for (const auto& row : per_row) total += row.size();
-  std::vector<ForestEdge> edges;
-  edges.reserve(total);
-  for (auto& row : per_row) {
-    edges.insert(edges.end(), row.begin(), row.end());
-    row.clear();
-    row.shrink_to_fit();
-  }
-  span.arg("candidate_pairs", static_cast<std::uint64_t>(edges.size()));
-  span.arg("pairs_pruned", pruned.load());
-  span.end();
-  MLSC_COUNTER_ADD("graph.candidate_pairs", edges.size());
-  MLSC_COUNTER_ADD("graph.pairs_pruned", pruned.load());
-  MLSC_COUNTER_ADD("graph.hot_postings_skipped", hot_skipped);
-  return edges;
-}
-
+// the greedy merge heap.  Every pair sharing data is scored by the
+// affinity kernel, Borůvka rounds hook the edges into a maximum spanning
+// forest, and the forest is cut to `target` components best-first
+// (single-linkage semantics, balance-capped), leftovers merged
+// rank-adjacent — the same fallback the greedy kernel uses.
 void forest_to_count(std::vector<Cluster>& clusters, std::size_t target,
                      ThreadPool* pool, const ClusterOptions& options) {
   const std::size_t n = clusters.size();
@@ -460,166 +298,37 @@ void forest_to_count(std::vector<Cluster>& clusters, std::size_t target,
   span.arg("clusters", static_cast<std::uint64_t>(n));
   span.arg("target", static_cast<std::uint64_t>(target));
 
-  std::vector<ForestEdge> work = forest_candidate_edges(clusters, pool, options);
+  obs::Span gen_span("pipeline.candidate_gen");
+  gen_span.arg("clusters", static_cast<std::uint64_t>(n));
+  std::vector<AffinityEdge> edges = score_clusters(clusters, pool);
+  gen_span.arg("candidate_pairs", static_cast<std::uint64_t>(edges.size()));
+  gen_span.end();
+  MLSC_COUNTER_ADD("graph.candidate_pairs", edges.size());
 
-  // Borůvka rounds: every component picks its best incident edge (a
-  // parallel max-reduction over the strict total order, so the pick is
-  // independent of edge visit order), the picks are hooked through the
-  // union-find in ascending component order, and intra-component edges
-  // are compacted away.  Components at least halve per round.
   std::vector<std::uint32_t> parent(n);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  std::vector<std::uint32_t> comp(n);
-  std::vector<ForestEdge> forest;
+  std::iota(parent.begin(), parent.end(), 0u);
+  std::vector<AffinityEdge> forest;
   forest.reserve(n > 0 ? n - 1 : 0);
-  std::vector<std::atomic<std::uint32_t>> best(n);
-  constexpr std::uint32_t kNone = UINT32_MAX;
-  std::size_t rounds = 0;
-
-  while (!work.empty()) {
-    ++rounds;
-    for (std::uint32_t i = 0; i < n; ++i) comp[i] = uf_find(parent, i);
-    for (auto& b : best) b.store(kNone, std::memory_order_relaxed);
-
-    auto consider = [&](std::uint32_t c, std::uint32_t idx) {
-      std::uint32_t cur = best[c].load(std::memory_order_relaxed);
-      while (cur == kNone || edge_better(work[idx], work[cur])) {
-        if (best[c].compare_exchange_weak(cur, idx,
-                                          std::memory_order_relaxed)) {
-          break;
-        }
-      }
-    };
-    auto pick_best = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t e = lo; e < hi; ++e) {
-        const std::uint32_t cu = comp[work[e].u];
-        const std::uint32_t cv = comp[work[e].v];
-        consider(cu, static_cast<std::uint32_t>(e));
-        consider(cv, static_cast<std::uint32_t>(e));
-      }
-    };
-    if (pool != nullptr && pool->num_threads() > 1 && work.size() >= 4096) {
-      pool->parallel_for(0, work.size(), pool->default_grain(work.size()),
-                         pick_best);
-    } else {
-      pick_best(0, work.size());
-    }
-
-    bool hooked = false;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const std::uint32_t idx = best[c].load(std::memory_order_relaxed);
-      if (idx == kNone) continue;
-      const ForestEdge& e = work[idx];
-      if (uf_union(parent, e.u, e.v)) {
-        forest.push_back(e);
-        hooked = true;
-      }
-    }
-    if (!hooked) break;  // every remaining edge is intra-component
-
-    for (std::uint32_t i = 0; i < n; ++i) comp[i] = uf_find(parent, i);
-    work.erase(std::remove_if(work.begin(), work.end(),
-                              [&](const ForestEdge& e) {
-                                return comp[e.u] == comp[e.v];
-                              }),
-               work.end());
-  }
-
-  // Cut the forest to `target` components: replay its edges best-first.
-  // The forest is acyclic, so every replayed edge merges two distinct
-  // components.  The cut is balance-aware (cut_balance_slack): merges
-  // that would grow a component past (1 + slack) x the ideal share are
-  // skipped — single-linkage chains would otherwise concentrate nearly
-  // everything into one component and leave the downstream load
-  // balancer a quadratic pile of one-member moves.  Skipping keeps the
-  // union acyclic, so every replayed edge still joins distinct roots.
-  std::sort(forest.begin(), forest.end(), edge_better);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  std::uint64_t total_iterations = 0;
-  std::vector<std::uint64_t> comp_iterations(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    comp_iterations[i] = clusters[i].iterations;
-    total_iterations += clusters[i].iterations;
-  }
-  const bool capped = options.cut_balance_slack >= 0.0;
-  const auto cap = static_cast<std::uint64_t>(
-      static_cast<double>(total_iterations) /
-      static_cast<double>(target) * (1.0 + options.cut_balance_slack));
-  std::size_t components = n;
-  std::uint64_t cut_skipped = 0;
-  for (const ForestEdge& e : forest) {
-    if (components <= target) break;
-    const std::uint32_t ru = uf_find(parent, e.u);
-    const std::uint32_t rv = uf_find(parent, e.v);
-    MLSC_CHECK(ru != rv, "forest edge formed a cycle");
-    if (capped && comp_iterations[ru] + comp_iterations[rv] > cap) {
-      ++cut_skipped;
-      continue;
-    }
-    const std::uint64_t merged_iters =
-        comp_iterations[ru] + comp_iterations[rv];
-    uf_union(parent, ru, rv);
-    comp_iterations[std::min(ru, rv)] = merged_iters;
-    --components;
-  }
+  const std::size_t rounds = hook_edges(std::move(edges), parent, forest);
   span.arg("rounds", static_cast<std::uint64_t>(rounds));
   span.arg("forest_edges", static_cast<std::uint64_t>(forest.size()));
-  span.arg("cut_skipped", cut_skipped);
 
-  // Leftovers — components the cap stopped or that share no data: merge
-  // rank-adjacent (by order_key), smallest combined size first, the same
-  // fallback the greedy kernel uses.  Smallest-first evens the sizes, so
-  // the load balancer has little left to fix.
-  if (components > target) {
-    struct Comp {
-      std::uint32_t root;
-      std::uint64_t order_key;
-      std::uint64_t iterations;
-    };
-    std::unordered_map<std::uint32_t, std::size_t> slot;
-    std::vector<Comp> comps;
-    comps.reserve(components);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t root = uf_find(parent, i);
-      const auto it = slot.find(root);
-      if (it == slot.end()) {
-        slot.emplace(root, comps.size());
-        comps.push_back(Comp{root, clusters[i].order_key,
-                             clusters[i].iterations});
-      } else {
-        Comp& c = comps[it->second];
-        c.order_key = std::min(c.order_key, clusters[i].order_key);
-        c.iterations += clusters[i].iterations;
-      }
-    }
-    std::sort(comps.begin(), comps.end(), [](const Comp& x, const Comp& y) {
-      if (x.order_key != y.order_key) return x.order_key < y.order_key;
-      return x.root < y.root;
-    });
-    while (comps.size() > target) {
-      std::size_t pos = 0;
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < comps.size(); ++p) {
-        const std::uint64_t combined =
-            comps[p].iterations + comps[p + 1].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          pos = p;
-        }
-      }
-      uf_union(parent, comps[pos].root, comps[pos + 1].root);
-      comps[pos].root = std::min(comps[pos].root, comps[pos + 1].root);
-      comps[pos].iterations += comps[pos + 1].iterations;
-      comps.erase(comps.begin() + pos + 1);
-    }
-  }
+  std::vector<std::uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  std::vector<std::uint64_t> iterations(n);
+  for (std::uint32_t i = 0; i < n; ++i) iterations[i] = clusters[i].iterations;
+  CutResult cut = cut_forest(
+      std::move(forest), ids, iterations,
+      [&](std::size_t i) { return clusters[i].order_key; }, target,
+      options.cut_balance_slack);
+  span.arg("cut_skipped", cut.skipped);
 
   // Materialize: members grouped by component, components emitted in
   // ascending root (== smallest member) order — the same deterministic
   // shape the greedy kernel produces.
   std::vector<std::vector<std::uint32_t>> groups(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    groups[uf_find(parent, i)].push_back(i);
+    groups[uf_find(cut.parent, i)].push_back(i);
   }
   std::vector<Cluster> result;
   result.reserve(target);

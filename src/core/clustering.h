@@ -8,11 +8,11 @@
 //     average-linkage candidates with lazy invalidation).  Quality
 //     reference, O(k^2 log k)-ish; the oracle for equivalence tests.
 //   - kForest: the scalable similarity-weighted affinity forest —
-//     candidate edges from the data-chunk inverted index, a
-//     Borůvka-style best-neighbor-hooking maximum-spanning-forest build
-//     (parallel over the thread pool), and a cut of the forest to the
-//     level's fan-out (single-linkage semantics).  Deterministic at any
-//     thread count.
+//     candidate edges from the affinity kernel's posting index, a
+//     Borůvka maximum-spanning-forest build, and a balance-capped cut of
+//     the forest to the level's fan-out (single-linkage semantics).
+// Both start from the same scored edges (score_clusters, core/affinity.h)
+// and are deterministic at any thread count.
 // kAuto (the default) uses the greedy kernel below forest_threshold
 // input clusters and the forest at or above it, so paper-scale inputs
 // keep the oracle's bit-exact mappings while large sweeps get the
@@ -22,8 +22,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/affinity.h"
 #include "core/iteration_chunk.h"
-#include "core/minhash.h"
 #include "core/tag.h"
 #include "support/thread_pool.h"
 
@@ -84,16 +84,15 @@ struct ClusterOptions {
   /// time.  Matches the paper's BThres default; negative disables the
   /// cap (pure best-score cut).
   double cut_balance_slack = 0.10;
-
-  /// Forest candidate generation: posting lists (clusters per data
-  /// chunk) longer than this are skipped (0 = no cap); see
-  /// GraphOptions::hot_posting_cap.
-  std::size_t hot_posting_cap = 0;
-
-  /// Forest candidate generation: minhash banding over cluster tag
-  /// positions; bands == 0 (default) disables pruning.
-  MinhashParams banding;
 };
+
+/// The similarity edges both merge kernels start from: one edge
+/// {dot / (|a| * |b|), b, a} per cluster pair b < a whose tags share a
+/// data chunk (|x| = member count; for singletons the weight is the
+/// number of common tag bits, Fig. 8).  Scored by the affinity kernel
+/// over `pool`; the same edges at any thread count.
+std::vector<AffinityEdge> score_clusters(const std::vector<Cluster>& clusters,
+                                         ThreadPool* pool = nullptr);
 
 /// Reduces or expands `clusters` to exactly `target` clusters:
 ///   - while |clusters| > target, merge by data-sharing affinity — the
@@ -104,17 +103,15 @@ struct ClusterOptions {
 ///     iteration chunk (appending to `chunks`) when it has one.
 /// `chunks` may grow; all member indices remain valid.
 ///
-/// Greedy kernel: cluster tags and pairwise dot products are maintained
-/// incrementally across merges (inverted data-chunk index + max-heap
-/// with lazy invalidation), so the merge costs O(k^2 log k) word-ops
-/// rather than rescoring every pair per merge.  Forest kernel: candidate
-/// edges come from the same inverted index, Borůvka rounds hook each
-/// component to its best-scoring neighbor, and the resulting maximum
-/// spanning forest is cut to `target` components in score order.
+/// Greedy kernel: the initial candidates are score_clusters(); merged
+/// clusters are re-scored incrementally (versioned inverted index +
+/// max-heap with lazy invalidation), so the merge costs O(k^2 log k)
+/// word-ops rather than rescoring every pair per merge.  Forest kernel:
+/// Borůvka rounds hook score_clusters()'s edges into a maximum spanning
+/// forest, which is cut to `target` components in score order.
 ///
-/// Both kernels fan the scoring work out over `pool` when one is given;
-/// every parallel reduction is over a total order, so the result is
-/// bit-identical to the serial run at any thread count.
+/// Both kernels fan the scoring out over `pool` when one is given; the
+/// result is bit-identical to the serial run at any thread count.
 void cluster_to_count(std::vector<Cluster>& clusters, std::size_t target,
                       std::vector<IterationChunk>& chunks,
                       ThreadPool* pool = nullptr,

@@ -24,29 +24,6 @@ std::int64_t rank_shift(const poly::IterationSpace& space,
   return shift;
 }
 
-/// True when any range of `a`, shifted by `delta`, overlaps a range of
-/// `b`.  Both lists are sorted and disjoint.
-bool shifted_ranges_overlap(const std::vector<poly::LinearRange>& a,
-                            std::int64_t delta,
-                            const std::vector<poly::LinearRange>& b) {
-  auto ita = a.begin();
-  auto itb = b.begin();
-  while (ita != a.end() && itb != b.end()) {
-    const std::int64_t a_begin = static_cast<std::int64_t>(ita->begin) + delta;
-    const std::int64_t a_end = static_cast<std::int64_t>(ita->end) + delta;
-    const auto b_begin = static_cast<std::int64_t>(itb->begin);
-    const auto b_end = static_cast<std::int64_t>(itb->end);
-    if (a_end <= b_begin) {
-      ++ita;
-    } else if (b_end <= a_begin) {
-      ++itb;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 const char* dependence_strategy_name(DependenceStrategy strategy) {

@@ -68,10 +68,10 @@ void flatten_tables(const JsonValue& record, std::vector<FlatMetric>* out) {
     for (std::size_t r = 0; r < labels.size(); ++r) {
       const auto& cells = row_array[r].as_array();
       if (first_cell_uses[labels[r]] > 1 && cells.size() >= 2) {
-        labels[r] += "/" + cells[1].string_or("");
+        labels[r].append("/").append(cells[1].string_or(""));
       }
       const std::size_t k = seen[labels[r]]++;
-      if (k > 0) labels[r] += "#" + std::to_string(k);
+      if (k > 0) labels[r].append("#").append(std::to_string(k));
     }
 
     const auto& header_cells = header->as_array();
@@ -106,7 +106,7 @@ void flatten_phases(const JsonValue& record, std::vector<FlatMetric>* out) {
     if (name == nullptr || wall == nullptr) continue;
     std::string label = name->string_or("");
     const std::size_t k = seen[label]++;
-    if (k > 0) label += "#" + std::to_string(k);
+    if (k > 0) label.append("#").append(std::to_string(k));
     FlatMetric m;
     m.name = "phases." + label + ".wall_ms";
     m.value = wall->number_or(std::numeric_limits<double>::quiet_NaN());
@@ -328,11 +328,20 @@ DiffResult diff_run_records(const JsonValue& baseline,
     d.noise = b.noise;
     d.threshold = effective_threshold(b.noise, options, repetitions);
 
+    // Guarded deterministic metrics have no soft band: their guarantees
+    // are exact, so any breach — including vanishing — is hard.
+    const bool guarded = b.noise == MetricNoise::kDeterministic &&
+                         is_guarded_metric(b.name);
     const auto it = cur_by_name.find(b.name);
     if (it == cur_by_name.end()) {
       d.current = std::numeric_limits<double>::quiet_NaN();
-      d.verdict = Verdict::kMissing;
       ++result.missing;
+      if (guarded) {
+        d.verdict = Verdict::kHardRegression;
+        ++result.hard_regressions;
+      } else {
+        d.verdict = Verdict::kMissing;
+      }
       result.deltas.push_back(std::move(d));
       continue;
     }
@@ -365,10 +374,6 @@ DiffResult diff_run_records(const JsonValue& baseline,
     const double magnitude = b.noise == MetricNoise::kTiming
                                  ? d.rel_delta  // only increases regress
                                  : std::fabs(d.rel_delta);
-    // Guarded deterministic metrics (reduction_ratio) have no soft
-    // band: the pruning guarantees are exact, so any breach is hard.
-    const bool guarded = b.noise == MetricNoise::kDeterministic &&
-                         is_guarded_metric(b.name);
     if (magnitude > options.hard_factor * d.threshold ||
         (guarded && magnitude > d.threshold)) {
       d.verdict = Verdict::kHardRegression;

@@ -82,7 +82,7 @@ enum class Verdict {
   kImproved,        // timing metric shrank beyond the threshold
   kSoftRegression,  // beyond threshold
   kHardRegression,  // beyond hard_factor x threshold
-  kMissing,         // in baseline, absent from current
+  kMissing,         // in baseline, absent from current (guarded: hard)
   kNew,             // in current, absent from baseline
   kSkipped,         // non-finite value or unnormalizable zero baseline
 };

@@ -249,7 +249,7 @@ void headroom_section(std::ostream& out, const JsonValue& record) {
       std::string base = cells[0].string_or("");
       if (level_col != cols.size() && level_col != 0 &&
           level_col < cells.size()) {
-        base += " " + cells[level_col].string_or("");
+        base.append(" ").append(cells[level_col].string_or(""));
       }
       for (std::size_t c : headroom_cols) {
         if (c >= cells.size()) continue;
@@ -261,7 +261,7 @@ void headroom_section(std::ostream& out, const JsonValue& record) {
         const std::string col = cols[c].string_or("");
         if (col != "headroom_pct") {
           // "l2_headroom_pct" -> "... l2"
-          label += " " + col.substr(0, col.find("_headroom_pct"));
+          label.append(" ").append(col, 0, col.find("_headroom_pct"));
         }
         items.emplace_back(std::move(label), value);
       }

@@ -15,50 +15,17 @@
 
 namespace mlsc::serve {
 
-bool edge_better(const ForestEdge& x, const ForestEdge& y) {
-  if (x.score != y.score) return x.score > y.score;
-  if (x.u != y.u) return x.u < y.u;
-  return x.v < y.v;
-}
+using core::AffinityEdge;
+using core::uf_find;
+using core::uf_union;
 
 namespace {
-
-/// Union-find with path compression; unions attach the larger root under
-/// the smaller, so a component's root is always its smallest member id
-/// (the invariant the patch builder and fingerprint rely on).
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  std::uint32_t root = x;
-  while (parent[root] != root) root = parent[root];
-  while (parent[x] != root) {
-    const std::uint32_t next = parent[x];
-    parent[x] = root;
-    x = next;
-  }
-  return root;
-}
-
-bool uf_union(std::vector<std::uint32_t>& parent, std::uint32_t a,
-              std::uint32_t b) {
-  const std::uint32_t ra = uf_find(parent, a);
-  const std::uint32_t rb = uf_find(parent, b);
-  if (ra == rb) return false;
-  parent[std::max(ra, rb)] = std::min(ra, rb);
-  return true;
-}
 
 std::string make_data_key(const std::string& name, double size_factor) {
   std::ostringstream out;
   out.precision(17);
   out << name << '@' << size_factor;
   return out.str();
-}
-
-/// Erases one id from a sorted posting list.
-void posting_erase(std::vector<std::uint32_t>& list, std::uint32_t id) {
-  const auto it = std::lower_bound(list.begin(), list.end(), id);
-  MLSC_CHECK(it != list.end() && *it == id,
-             "posting list missing chunk " << id);
-  list.erase(it);
 }
 
 }  // namespace
@@ -230,118 +197,42 @@ std::size_t MappingState::register_workload(const std::string& id,
   for (std::uint32_t g = e.first_chunk; g < chunks_.size(); ++g) {
     rows.push_back(g);
     for (std::uint32_t bit : chunks_[g].tag.bits()) {
-      postings_[e.tag_offset + bit].push_back(g);
+      postings_.post(e.tag_offset + bit, g);
     }
   }
 
   // Score only the arrival's rows and hook them into the standing
   // forest — the delta path's work is proportional to the arrival.
-  std::uint64_t scored = 0;
-  std::vector<ForestEdge> edges = score_rows(rows, pool, &scored);
-  if (stats != nullptr) stats->scored_pairs += scored;
-  hook_edges(std::move(edges), stats);
-
+  const std::uint64_t scored = score_and_hook(rows, pool, stats);
   span.arg("new_chunks", static_cast<std::uint64_t>(e.num_chunks));
   span.arg("scored_pairs", scored);
-  span.end();
-  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scored);
   return widx;
 }
 
-std::vector<ForestEdge> MappingState::score_rows(
+std::uint64_t MappingState::score_and_hook(
     const std::vector<std::uint32_t>& rows, ThreadPool* pool,
-    std::uint64_t* scored) const {
-  const std::size_t n = chunks_.size();
-  std::vector<std::vector<ForestEdge>> per_row(rows.size());
-  auto score_range = [&](std::size_t lo, std::size_t hi) {
-    thread_local std::vector<std::uint64_t> acc;
-    thread_local std::vector<std::uint32_t> touched;
-    if (acc.size() < n) acc.resize(n, 0);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t a = rows[i];
-      const std::uint64_t offset = entries_[chunk_owner_[a]].tag_offset;
-      touched.clear();
-      for (std::uint32_t bit : chunks_[a].tag.bits()) {
-        const auto it = postings_.find(offset + bit);
-        if (it == postings_.end()) continue;
-        for (const std::uint32_t b : it->second) {
-          if (b >= a) break;  // posting lists are id-ascending
-          if (acc[b] == 0) touched.push_back(b);
-          acc[b] += 1;
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& out = per_row[i];
-      out.reserve(touched.size());
-      for (const std::uint32_t b : touched) {
-        out.push_back(ForestEdge{static_cast<double>(acc[b]), b, a});
-        acc[b] = 0;  // keep the scratch all-zero between rows
-      }
+    DeltaStats* stats) {
+  const core::RowKeys keys_of = [&](std::uint32_t a,
+                                    std::vector<core::PostedKey>& out) {
+    const std::uint64_t offset = entries_[chunk_owner_[a]].tag_offset;
+    for (std::uint32_t bit : chunks_[a].tag.bits()) {
+      out.push_back(core::PostedKey{offset + bit, 1});
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && rows.size() >= 64) {
-    pool->parallel_for(0, rows.size(), pool->default_grain(rows.size()),
-                       score_range);
-  } else {
-    score_range(0, rows.size());
+  std::vector<AffinityEdge> edges =
+      core::score_rows(postings_, rows, keys_of, {}, pool);
+  const std::uint64_t scored = edges.size();
+  const std::size_t forest_before = forest_.size();
+  const std::size_t rounds =
+      core::hook_edges(std::move(edges), parent_, forest_);
+  if (stats != nullptr) {
+    stats->scored_pairs += scored;
+    stats->rounds += rounds;
+    stats->forest_hooks += forest_.size() - forest_before;
   }
-
-  std::size_t total = 0;
-  for (const auto& row : per_row) total += row.size();
-  if (scored != nullptr) *scored += total;
-  std::vector<ForestEdge> edges;
-  edges.reserve(total);
-  for (auto& row : per_row) {
-    edges.insert(edges.end(), row.begin(), row.end());
-  }
-  return edges;
-}
-
-void MappingState::hook_edges(std::vector<ForestEdge> edges,
-                              DeltaStats* stats) {
-  // Borůvka rounds against the *standing* union-find: every component
-  // incident to a candidate edge picks its best edge under the strict
-  // (score, u, v) order, picks are hooked in ascending component order,
-  // intra-component edges are compacted away.
-  while (!edges.empty()) {
-    edges.erase(std::remove_if(edges.begin(), edges.end(),
-                               [&](const ForestEdge& e) {
-                                 return uf_find(parent_, e.u) ==
-                                        uf_find(parent_, e.v);
-                               }),
-                edges.end());
-    if (edges.empty()) break;
-    if (stats != nullptr) stats->rounds += 1;
-
-    std::unordered_map<std::uint32_t, std::size_t> best;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      for (const std::uint32_t end : {edges[i].u, edges[i].v}) {
-        const std::uint32_t root = uf_find(parent_, end);
-        const auto it = best.find(root);
-        if (it == best.end()) {
-          best.emplace(root, i);
-        } else if (edge_better(edges[i], edges[it->second])) {
-          it->second = i;
-        }
-      }
-    }
-    std::vector<std::uint32_t> comps;
-    comps.reserve(best.size());
-    for (const auto& [root, idx] : best) comps.push_back(root);
-    std::sort(comps.begin(), comps.end());
-
-    bool hooked = false;
-    for (const std::uint32_t root : comps) {
-      const ForestEdge& e = edges[best[root]];
-      if (uf_union(parent_, e.u, e.v)) {
-        forest_.push_back(e);
-        hooked = true;
-        if (stats != nullptr) stats->forest_hooks += 1;
-      }
-    }
-    if (!hooked) break;
-  }
+  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scored);
   MLSC_COUNTER_ADD("pipeline.serve_forest_edges", forest_.size());
+  return scored;
 }
 
 // ---------------------------------------------------------------------------
@@ -362,16 +253,12 @@ void MappingState::depart_workload(std::size_t widx) {
 
   for (std::uint32_t g = lo; g < hi; ++g) {
     for (std::uint32_t bit : chunks_[g].tag.bits()) {
-      const std::uint64_t k = e.tag_offset + bit;
-      const auto it = postings_.find(k);
-      MLSC_CHECK(it != postings_.end(), "posting key missing on depart");
-      posting_erase(it->second, g);
-      if (it->second.empty()) postings_.erase(it);
+      postings_.erase(e.tag_offset + bit, g);
     }
   }
 
   forest_.erase(std::remove_if(forest_.begin(), forest_.end(),
-                               [&](const ForestEdge& edge) {
+                               [&](const AffinityEdge& edge) {
                                  return (edge.u >= lo && edge.u < hi) ||
                                         (edge.v >= lo && edge.v < hi);
                                }),
@@ -425,7 +312,7 @@ void MappingState::set_baseline(std::size_t widx,
 
 void MappingState::rebuild_parent_from_forest() {
   for (std::uint32_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
-  for (const ForestEdge& e : forest_) uf_union(parent_, e.u, e.v);
+  for (const AffinityEdge& e : forest_) uf_union(parent_, e.u, e.v);
 }
 
 // ---------------------------------------------------------------------------
@@ -505,17 +392,10 @@ PatchPlan MappingState::build_patch(std::size_t widx) const {
              plan.new_clusters[y.idx].members.front();
     });
     while (slots.size() > e.requested_clients) {
-      std::size_t pos = 0;
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < slots.size(); ++p) {
-        const std::uint64_t combined =
-            plan.new_clusters[slots[p].idx].iterations +
-            plan.new_clusters[slots[p + 1].idx].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          pos = p;
-        }
-      }
+      const std::size_t pos =
+          core::smallest_adjacent_pair(slots.size(), [&](std::size_t p) {
+            return plan.new_clusters[slots[p].idx].iterations;
+          });
       ServeCluster& into = plan.new_clusters[slots[pos].idx];
       ServeCluster& from = plan.new_clusters[slots[pos + 1].idx];
       std::vector<std::uint32_t> merged;
@@ -641,11 +521,11 @@ void MappingState::recut_all() {
   span.arg("target", static_cast<std::uint64_t>(target));
 
   std::vector<std::uint32_t> alive_chunks;
-  std::uint64_t total_iterations = 0;
+  std::vector<std::uint64_t> iterations;
   for (std::uint32_t g = 0; g < chunks_.size(); ++g) {
     if (!chunk_live(g)) continue;
     alive_chunks.push_back(g);
-    total_iterations += chunks_[g].iterations;
+    iterations.push_back(chunks_[g].iterations);
   }
   clusters_.clear();
   std::fill(cluster_of_chunk_.begin(), cluster_of_chunk_.end(), kUnplaced);
@@ -655,76 +535,13 @@ void MappingState::recut_all() {
     return;
   }
 
-  // Replay the standing forest's edges best-first into a scratch
-  // union-find, balance-capped — the offline cut, verbatim semantics.
-  std::vector<ForestEdge> edges = forest_;
-  std::sort(edges.begin(), edges.end(), edge_better);
-  std::vector<std::uint32_t> parent(chunks_.size());
-  std::iota(parent.begin(), parent.end(), 0u);
-  std::vector<std::uint64_t> comp_iterations(chunks_.size(), 0);
-  for (const std::uint32_t g : alive_chunks) {
-    comp_iterations[g] = chunks_[g].iterations;
-  }
-  const bool capped = options_.cut_balance_slack >= 0.0;
-  const auto cap = static_cast<std::uint64_t>(
-      static_cast<double>(total_iterations) / static_cast<double>(target) *
-      (1.0 + options_.cut_balance_slack));
-  std::size_t components = alive_chunks.size();
-  for (const ForestEdge& e : edges) {
-    if (components <= target) break;
-    const std::uint32_t ru = uf_find(parent, e.u);
-    const std::uint32_t rv = uf_find(parent, e.v);
-    MLSC_CHECK(ru != rv, "standing forest edge formed a cycle");
-    if (capped && comp_iterations[ru] + comp_iterations[rv] > cap) continue;
-    const std::uint64_t merged = comp_iterations[ru] + comp_iterations[rv];
-    uf_union(parent, ru, rv);
-    comp_iterations[std::min(ru, rv)] = merged;
-    --components;
-  }
-
-  // Leftovers: merge rank-adjacent (order_key) smallest-combined-first.
-  if (components > target) {
-    struct Comp {
-      std::uint32_t root;
-      std::uint64_t order_key;
-      std::uint64_t iterations;
-    };
-    std::unordered_map<std::uint32_t, std::size_t> slot;
-    std::vector<Comp> comps;
-    comps.reserve(components);
-    for (const std::uint32_t g : alive_chunks) {
-      const std::uint32_t root = uf_find(parent, g);
-      const auto it = slot.find(root);
-      if (it == slot.end()) {
-        slot.emplace(root, comps.size());
-        comps.push_back(Comp{root, chunk_order_key(g), chunks_[g].iterations});
-      } else {
-        Comp& c = comps[it->second];
-        c.order_key = std::min(c.order_key, chunk_order_key(g));
-        c.iterations += chunks_[g].iterations;
-      }
-    }
-    std::sort(comps.begin(), comps.end(), [](const Comp& x, const Comp& y) {
-      if (x.order_key != y.order_key) return x.order_key < y.order_key;
-      return x.root < y.root;
-    });
-    while (comps.size() > target) {
-      std::size_t pos = 0;
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < comps.size(); ++p) {
-        const std::uint64_t combined =
-            comps[p].iterations + comps[p + 1].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          pos = p;
-        }
-      }
-      uf_union(parent, comps[pos].root, comps[pos + 1].root);
-      comps[pos].root = std::min(comps[pos].root, comps[pos + 1].root);
-      comps[pos].iterations += comps[pos + 1].iterations;
-      comps.erase(comps.begin() + pos + 1);
-    }
-  }
+  // The offline forest cut over the standing forest and the live chunks.
+  std::vector<std::uint32_t> parent =
+      core::cut_forest(
+          forest_, alive_chunks, iterations,
+          [&](std::size_t i) { return chunk_order_key(alive_chunks[i]); },
+          target, options_.cut_balance_slack)
+          .parent;
 
   // Materialize ascending by root (== smallest member), members
   // ascending, then place every cluster heaviest-first least-loaded.
@@ -775,14 +592,10 @@ void MappingState::rebuild_all(ThreadPool* pool, DeltaStats* stats) {
   for (std::uint32_t g = 0; g < chunks_.size(); ++g) {
     if (chunk_live(g)) rows.push_back(g);
   }
-  std::uint64_t scored = 0;
-  std::vector<ForestEdge> edges = score_rows(rows, pool, &scored);
-  if (stats != nullptr) stats->scored_pairs += scored;
-  hook_edges(std::move(edges), stats);
+  const std::uint64_t scored = score_and_hook(rows, pool, stats);
   span.arg("rows", static_cast<std::uint64_t>(rows.size()));
   span.arg("scored_pairs", scored);
   span.end();
-  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scored);
   recut_all();
 }
 
@@ -1022,8 +835,7 @@ void MappingState::check_invariants() const {
 
   // Postings are exactly the live chunks' tag bits, ascending.
   std::size_t posted = 0;
-  for (const auto& [key, list] : postings_) {
-    MLSC_CHECK(!list.empty(), "empty posting list survived");
+  for (const auto& list : postings_.lists()) {
     std::uint32_t prev = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
       MLSC_CHECK(i == 0 || list[i] > prev, "posting list not ascending");
@@ -1037,10 +849,9 @@ void MappingState::check_invariants() const {
     if (!chunk_live(g)) continue;
     const std::uint64_t offset = entries_[chunk_owner_[g]].tag_offset;
     for (std::uint32_t bit : chunks_[g].tag.bits()) {
-      const auto it = postings_.find(offset + bit);
-      MLSC_CHECK(it != postings_.end() &&
-                     std::binary_search(it->second.begin(), it->second.end(),
-                                        g),
+      const std::vector<std::uint32_t>* list = postings_.find(offset + bit);
+      MLSC_CHECK(list != nullptr &&
+                     std::binary_search(list->begin(), list->end(), g),
                  "live chunk bit not posted");
       ++expected;
     }
@@ -1050,7 +861,7 @@ void MappingState::check_invariants() const {
   // Forest edges alive and acyclic; parent_ matches the forest exactly.
   std::vector<std::uint32_t> scratch(n);
   std::iota(scratch.begin(), scratch.end(), 0u);
-  for (const ForestEdge& e : forest_) {
+  for (const AffinityEdge& e : forest_) {
     MLSC_CHECK(e.u < e.v && e.v < n, "malformed forest edge");
     MLSC_CHECK(chunk_live(e.u) && chunk_live(e.v), "dead forest endpoint");
     MLSC_CHECK(uf_union(scratch, e.u, e.v), "forest edge formed a cycle");

@@ -8,18 +8,19 @@
 //     over the same data can cluster together; distinct data keys get
 //     disjoint bit ranges and never interact),
 //   - the standing affinity forest (a maximum-spanning-forest over
-//     chunk-similarity edges under the same strict (score, u, v) total
-//     order as core::clustering's kForest kernel) and its union-find,
+//     chunk-similarity edges, built by the affinity kernel the offline
+//     clustering uses, core/affinity.h) and its union-find,
 //   - the standing cut (clusters of chunks, possibly spanning
 //     instances) with per-cluster client placement and per-client load.
 //
-// Registration is incremental: only the new instance's chunks are tagged
-// and scored (cost proportional to the arrival, not to the standing
-// table), and its edges are hooked into the standing forest by Borůvka
-// rounds against the existing components.  A full recompute rebuilds the
-// forest from the posting index from scratch — deterministically
-// identical to registering the same live set into a fresh state, which
-// is the oracle the tests pin.
+// Registration is incremental: the new instance's chunks are posted and
+// only their rows are scored (cost proportional to the arrival, not to
+// the standing table), and the edges are hooked into the standing forest
+// by the kernel's Borůvka rounds against the existing components.  A
+// recut replays the standing forest through the kernel's cut.  A full
+// recompute rebuilds the forest from the posting index from scratch —
+// deterministically identical to registering the same live set into a
+// fresh state, which is the oracle the tests pin.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "cache/storage_cache.h"
+#include "core/affinity.h"
 #include "core/iteration_chunk.h"
 #include "core/mapping.h"
 #include "core/tagging.h"
@@ -46,17 +48,6 @@ struct ServeStateOptions {
   /// Balance-aware cut slack, as core::ClusterOptions::cut_balance_slack.
   double cut_balance_slack = 0.10;
 };
-
-/// One similarity edge of the standing forest; u < v are global chunk
-/// ids.  (score, u, v) is the strict total order shared with the
-/// offline forest kernel.
-struct ForestEdge {
-  double score = 0;
-  std::uint32_t u = 0;
-  std::uint32_t v = 0;
-};
-
-bool edge_better(const ForestEdge& x, const ForestEdge& y);
 
 /// Mapping-work accounting for one operation, mirrored into the
 /// pipeline.* counters: candidate pairs scored and forest hooks made.
@@ -191,6 +182,8 @@ class MappingState {
   const std::vector<std::uint64_t>& client_load() const { return load_; }
   const std::vector<bool>& client_alive() const { return client_alive_; }
   const std::vector<core::IterationChunk>& chunks() const { return chunks_; }
+  /// The standing forest's edges, in hook order.
+  const std::vector<core::AffinityEdge>& forest() const { return forest_; }
 
   std::size_t find_live(const std::string& id) const;  // npos when absent
   std::size_t num_live_workloads() const;
@@ -229,12 +222,10 @@ class MappingState {
   };
 
   std::uint64_t chunk_order_key(std::uint32_t chunk) const;
-  /// Scores each listed chunk row against the posting index (candidates
-  /// strictly below the row id, same slot scheme as the offline kernel).
-  std::vector<ForestEdge> score_rows(const std::vector<std::uint32_t>& rows,
-                                     ThreadPool* pool,
-                                     std::uint64_t* scored) const;
-  void hook_edges(std::vector<ForestEdge> edges, DeltaStats* stats);
+  /// Scores the listed (posted) chunk rows against the lower ids and
+  /// hooks the edges into the standing forest; returns the pairs scored.
+  std::uint64_t score_and_hook(const std::vector<std::uint32_t>& rows,
+                               ThreadPool* pool, DeltaStats* stats);
   void place_cluster(std::uint32_t cluster_index);
   bool chunk_live(std::uint32_t chunk) const;
   void rebuild_parent_from_forest();
@@ -251,12 +242,12 @@ class MappingState {
   std::vector<std::uint32_t> chunk_owner_;    // entry index per chunk
 
   /// Posting index: global bit key -> live chunk ids, ascending.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> postings_;
+  core::PostingIndex postings_;
 
   /// Union-find over forest components; mutable so const queries can
   /// path-compress (semantically pure).
   mutable std::vector<std::uint32_t> parent_;
-  std::vector<ForestEdge> forest_;        // hooked edges, append order
+  std::vector<core::AffinityEdge> forest_;  // hooked edges, append order
 
   std::vector<ServeCluster> clusters_;
   std::vector<std::uint32_t> cluster_of_chunk_;  // kUnplaced when none

@@ -142,6 +142,22 @@ TEST(BenchDiff, MissingAndNewMetricsDoNotFail) {
   EXPECT_EQ(reversed.exit_code(), 0);
 }
 
+TEST(BenchDiff, MissingGuardedMetricIsHard) {
+  // A guarded row the current record no longer produces can no longer be
+  // checked, so it fails like any other guarded breach.
+  const JsonValue base = parse_json(
+      patched("\"g.load\": 0.5", "\"g.load\": 0.5, \"x.candidate_pairs\": 42"));
+  const DiffResult result = diff_run_records(base, parse_json(kRecord));
+  EXPECT_EQ(result.missing, 1u);
+  EXPECT_EQ(result.hard_regressions, 1u);
+  EXPECT_EQ(result.exit_code(), 2);
+  for (const auto& d : result.deltas) {
+    if (d.name == "gauges.x.candidate_pairs") {
+      EXPECT_EQ(d.verdict, Verdict::kHardRegression);
+    }
+  }
+}
+
 TEST(BenchDiff, ZeroBaselineHandling) {
   const JsonValue base = parse_json(
       patched("\"pipeline.balance_moves\": 17",

@@ -132,7 +132,7 @@ TEST(IoLowerBound, BoundIsMonotoneNonIncreasingInCapacity) {
   std::vector<LevelSpec> levels;
   for (std::uint64_t m : {512ull, 1024ull, 4096ull, 65536ull,
                           1ull << 20, 1ull << 26}) {
-    levels.push_back({"m" + std::to_string(m), m});
+    levels.push_back({std::string("m").append(std::to_string(m)), m});
   }
   const IoLowerBound bound = compute_io_lower_bound(p, levels);
   ASSERT_EQ(bound.levels.size(), levels.size());

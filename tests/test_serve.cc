@@ -6,12 +6,15 @@
 // and the run-record snapshot surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/clustering.h"
 #include "serve/event.h"
 #include "serve/policy.h"
 #include "serve/service.h"
@@ -271,6 +274,43 @@ TEST(MappingState, RegisterPatchDepartKeepInvariants) {
       EXPECT_EQ(state.entries()[0].id, "a");
       EXPECT_LT(member, state.entries()[0].num_chunks);
     }
+  }
+}
+
+// The online state and the offline forest kernel share one affinity
+// kernel: for one registered workload, the standing forest and its recut
+// equal what the offline kernel builds on the same chunk table, target
+// and slack.
+TEST(MappingState, ForestAndCutMatchOfflineKernel) {
+  MappingState state(tiny_machine());
+  DeltaStats stats;
+  state.register_workload("a", "astro", 1.0 / 16.0, 3, nullptr, &stats);
+  state.recut_all();
+
+  std::vector<core::IterationChunk> chunks = state.chunks();
+  std::vector<std::uint32_t> all(chunks.size());
+  std::iota(all.begin(), all.end(), 0u);
+  auto clusters = core::make_singletons(all, chunks);
+  std::vector<std::uint32_t> parent(chunks.size());
+  std::iota(parent.begin(), parent.end(), 0u);
+  std::vector<core::AffinityEdge> offline;
+  core::hook_edges(core::score_clusters(clusters), parent, offline);
+  std::vector<core::AffinityEdge> online = state.forest();
+  std::sort(offline.begin(), offline.end(), core::edge_better);
+  std::sort(online.begin(), online.end(), core::edge_better);
+  EXPECT_FALSE(online.empty());
+  EXPECT_EQ(online, offline);
+  EXPECT_EQ(stats.forest_hooks, offline.size());
+
+  core::ClusterOptions options;
+  options.algorithm = core::ClusterOptions::Algorithm::kForest;
+  options.cut_balance_slack = ServeStateOptions{}.cut_balance_slack;
+  core::cluster_to_count(clusters, state.cut_target(), chunks, nullptr,
+                         options);
+  ASSERT_EQ(clusters.size(), state.clusters().size());
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    EXPECT_EQ(clusters[i].members, state.clusters()[i].members) << i;
+    EXPECT_EQ(clusters[i].iterations, state.clusters()[i].iterations) << i;
   }
 }
 

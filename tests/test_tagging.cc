@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/graph.h"
+#include "core/clustering.h"
 
 namespace mlsc::core {
 namespace {
@@ -55,13 +55,21 @@ TEST(Tagging, Fig8GraphWeights) {
   const DataSpace space(p, 64 * 8);
   const std::vector<poly::NestId> nests{0};
   const auto result = compute_iteration_chunks(p, space, nests);
-  const ChunkGraph graph(result.chunks);
+  std::vector<std::uint32_t> all(result.chunks.size());
+  for (std::uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  const auto edges = score_clusters(make_singletons(all, result.chunks));
+  const auto weight = [&](std::uint32_t u, std::uint32_t v) {
+    for (const AffinityEdge& e : edges) {
+      if (e.u == u && e.v == v) return e.score;
+    }
+    return 0.0;
+  };
   // Fig. 8: γ1-γ3 weight 3, γ1-γ5 weight 2, γ1-γ2 weight 1 (not drawn).
-  EXPECT_EQ(graph.weight(0, 2), 3u);
-  EXPECT_EQ(graph.weight(0, 4), 2u);
-  EXPECT_EQ(graph.weight(0, 1), 1u);
-  EXPECT_EQ(graph.weight(2, 4), 3u);  // γ3-γ5
-  EXPECT_EQ(graph.weight(1, 3), 3u);  // γ2-γ4
+  EXPECT_EQ(weight(0, 2), 3.0);
+  EXPECT_EQ(weight(0, 4), 2.0);
+  EXPECT_EQ(weight(0, 1), 1.0);
+  EXPECT_EQ(weight(2, 4), 3.0);  // γ3-γ5
+  EXPECT_EQ(weight(1, 3), 3.0);  // γ2-γ4
 }
 
 TEST(Tagging, RecurringTagIsOneChunkWithManyRanges) {
