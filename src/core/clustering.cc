@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -98,37 +97,115 @@ std::vector<AffinityEdge> score_clusters(const std::vector<Cluster>& clusters,
 
 namespace {
 
-/// One candidate merge, with the versions of both clusters at the time
-/// the score was computed (lazy invalidation).
-///
-/// The score is the cluster-tag dot product normalized by the member
-/// counts (average linkage).  The raw bitwise-sum dot grows linearly
-/// with cluster size, so once any data chunk is shared universally (a
-/// Fock matrix, a catalog) the largest cluster out-bids every genuinely
-/// similar pair and the greedy snowballs into one blob.  Normalizing by
-/// |a|*|b| measures per-member similarity; on the paper's worked example
-/// (Fig. 8) it is what reproduces the Fig. 9 clusters.
-struct MergeCandidate {
-  double score = 0;
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::uint32_t version_a = 0;
-  std::uint32_t version_b = 0;
+/// The greedy kernel's candidate queue (Müllner's "generic" scheme,
+/// arXiv:1109.2378): every alive cluster x keeps best[x], its best pair
+/// (x, y > x) under edge_better — a pair belongs to its smaller id — and
+/// this binary max-heap orders the clusters with a candidate by it.
+/// Slots are tracked per cluster, so a cluster's entry moves or leaves
+/// in O(log n) and the heap never holds more than one entry per cluster.
+class CandidateHeap {
+ public:
+  static constexpr std::uint32_t kNone = UINT32_MAX;  // "no partner"
 
-  /// Max-heap by score; deterministic tie-break toward smaller indices.
-  bool operator<(const MergeCandidate& other) const {
-    if (score != other.score) return score < other.score;
-    if (a != other.a) return a > other.a;
-    return b > other.b;
+  CandidateHeap(const std::vector<AffinityEdge>& best, std::size_t n)
+      : best_(best), slot_(n, kAbsent) {}
+
+  bool empty() const { return ids_.empty(); }
+  std::uint32_t top() const { return ids_.front(); }
+
+  /// Brings id's entry in line with best[id]: inserted or re-sifted, or
+  /// removed when id has no candidate (best[id].v == kNone).
+  void update(std::uint32_t id) {
+    if (best_[id].v == kNone) {
+      erase(id);
+      return;
+    }
+    if (slot_[id] == kAbsent) {
+      slot_[id] = ids_.size();
+      ids_.push_back(id);
+    }
+    sift_down(sift_up(slot_[id]));
   }
+
+  void erase(std::uint32_t id) {
+    const std::size_t s = slot_[id];
+    if (s == kAbsent) return;
+    slot_[id] = kAbsent;
+    const std::uint32_t last = ids_.back();
+    ids_.pop_back();
+    if (s == ids_.size()) return;
+    place(s, last);
+    sift_down(sift_up(s));
+  }
+
+ private:
+  static constexpr std::size_t kAbsent = SIZE_MAX;
+
+  bool above(std::uint32_t x, std::uint32_t y) const {
+    return edge_better(best_[x], best_[y]);
+  }
+  void place(std::size_t s, std::uint32_t id) {
+    ids_[s] = id;
+    slot_[id] = s;
+  }
+  std::size_t sift_up(std::size_t s) {
+    const std::uint32_t id = ids_[s];
+    while (s > 0 && above(id, ids_[(s - 1) / 2])) {
+      place(s, ids_[(s - 1) / 2]);
+      s = (s - 1) / 2;
+    }
+    place(s, id);
+    return s;
+  }
+  void sift_down(std::size_t s) {
+    const std::uint32_t id = ids_[s];
+    for (;;) {
+      std::size_t child = 2 * s + 1;
+      if (child >= ids_.size()) break;
+      if (child + 1 < ids_.size() && above(ids_[child + 1], ids_[child])) {
+        ++child;
+      }
+      if (!above(ids_[child], id)) break;
+      place(s, ids_[child]);
+      s = child;
+    }
+    place(s, id);
+  }
+
+  const std::vector<AffinityEdge>& best_;
+  std::vector<std::uint32_t> ids_;   // heap order
+  std::vector<std::size_t> slot_;    // by cluster id
 };
 
+/// Greedy agglomerative merge down to `target` clusters.  Each step
+/// merges the alive pair with the best (score, a, b) under edge_better,
+/// where the score is the cluster-tag dot product normalized by the
+/// member counts (average linkage).  The raw bitwise-sum dot grows
+/// linearly with cluster size, so once any data chunk is shared
+/// universally (a Fock matrix, a catalog) the largest cluster out-bids
+/// every genuinely similar pair and the greedy snowballs into one blob.
+/// Normalizing by |a|*|b| measures per-member similarity; on the paper's
+/// worked example (Fig. 8) it is what reproduces the Fig. 9 clusters.
+///
+/// Heap invariant: for every alive cluster x, best[x] is either exact —
+/// x's best pair (x, y > x) with its current score, or none when x has
+/// no such pair sharing data — or a stale upper bound that ranks at or
+/// above x's true best under edge_better.  Every cluster with a
+/// candidate (exact or stale) is in the heap, once.  When the top is
+/// exact it is therefore the best pair overall; a stale top is rescored
+/// and re-sifted first.  A merge a <- b (a < b) changes only the pairs
+/// touching a and b, so it touches only their partners' entries: a
+/// rescored pair (c, a) that ranks at or above best[c] becomes c's
+/// exact best; an entry that named a or b otherwise goes stale, keeping
+/// its old rank as the bound.  Scores are exact integer dots over
+/// double member counts, so the merge sequence is the one rescoring all
+/// pairs after every merge would give, with O(clusters) heap entries.
 void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
                     ThreadPool* pool) {
+  constexpr std::uint32_t kNone = CandidateHeap::kNone;
   const std::size_t n = clusters.size();
   std::vector<bool> alive(n, true);
   std::vector<std::uint32_t> version(n, 0);
-  std::priority_queue<MergeCandidate> heap;
 
   // Versioned inverted index for re-scoring merged clusters: data chunk
   // -> (cluster, per-chunk count, version).  The dot products of one
@@ -149,9 +226,11 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
     }
   };
 
+  // Calls visit(c, score of (a, c)) for every alive c != a sharing data
+  // with a, each once.
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<std::uint32_t> touched;
-  auto push_candidates = [&](std::uint32_t a) {
+  auto for_each_partner = [&](std::uint32_t a, auto&& visit) {
     touched.clear();
     for (const auto& tag_entry : clusters[a].tag.entries()) {
       auto it = bit_index.find(tag_entry.pos);
@@ -170,42 +249,40 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
       }
       list.resize(w);
     }
-    for (std::uint32_t b : touched) {
-      const std::uint32_t lo = std::min(a, b);
-      const std::uint32_t hi = std::max(a, b);
+    for (std::uint32_t c : touched) {
       const double denom = static_cast<double>(clusters[a].members.size()) *
-                           static_cast<double>(clusters[b].members.size());
-      heap.push(MergeCandidate{static_cast<double>(acc[b]) / denom, lo, hi,
-                               version[lo], version[hi]});
-      acc[b] = 0;
+                           static_cast<double>(clusters[c].members.size());
+      visit(c, static_cast<double>(acc[c]) / denom);
+      acc[c] = 0;
     }
   };
+  auto offer = [](AffinityEdge& slot, const AffinityEdge& e) {
+    if (slot.v == kNone || edge_better(e, slot)) slot = e;
+  };
+
+  std::vector<AffinityEdge> best(n);
+  for (std::uint32_t x = 0; x < n; ++x) best[x] = AffinityEdge{0, x, kNone};
+  std::vector<bool> stale(n, false);
+  CandidateHeap heap(best, n);
 
   // Initial candidates: every pair sharing data, from the shared
-  // affinity kernel.  The candidate comparator is a total order and the
-  // versions all start at 0, so the merge sequence depends only on this
-  // set, not on the order the kernel emits it in.
+  // affinity kernel, folded into each owner's best.
   obs::Span sweep_span("pipeline.similarity_sweep");
   sweep_span.arg("clusters", static_cast<std::uint64_t>(n));
+  std::size_t candidates = 0;
   {
     const std::vector<AffinityEdge> edges = score_clusters(clusters, pool);
-    std::vector<MergeCandidate> initial;
-    initial.reserve(edges.size());
-    for (const AffinityEdge& e : edges) {
-      initial.push_back(MergeCandidate{e.score, e.u, e.v, 0, 0});
-    }
-    heap = std::priority_queue<MergeCandidate>(std::less<MergeCandidate>(),
-                                               std::move(initial));
+    candidates = edges.size();
+    for (const AffinityEdge& e : edges) offer(best[e.u], e);
   }
+  for (std::uint32_t x = 0; x < n; ++x) heap.update(x);
   for (std::uint32_t a = 0; a < n; ++a) index_cluster(a);
-  sweep_span.arg("candidates", static_cast<std::uint64_t>(heap.size()));
+  sweep_span.arg("candidates", static_cast<std::uint64_t>(candidates));
   sweep_span.end();
-  MLSC_COUNTER_ADD("pipeline.sweep_candidates", heap.size());
+  MLSC_COUNTER_ADD("pipeline.sweep_candidates", candidates);
 
   // Zero-sharing fallback order, built lazily the first time the heap
-  // runs dry.  Every alive pair with a nonzero dot always has a valid
-  // heap entry (init scores all pairs; each merge re-scores the merged
-  // cluster), so an empty heap means *no* alive pair shares data — and
+  // runs dry.  An empty heap means *no* alive pair shares data — and
   // since dots are bilinear, merging zero-dot clusters keeps every dot
   // zero.  The fallback list can therefore be maintained incrementally
   // instead of re-sorted per merge: it stays sorted by order_key because
@@ -214,18 +291,18 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
 
   std::size_t alive_count = n;
   while (alive_count > target) {
-    MergeCandidate best;
-    bool found = false;
-    while (!heap.empty()) {
-      best = heap.top();
-      heap.pop();
-      if (alive[best.a] && alive[best.b] &&
-          version[best.a] == best.version_a &&
-          version[best.b] == best.version_b) {
-        found = true;
-        break;
-      }
+    // Rescore stale bounds until the top is exact.
+    while (!heap.empty() && stale[heap.top()]) {
+      const std::uint32_t x = heap.top();
+      stale[x] = false;
+      best[x] = AffinityEdge{0, x, kNone};
+      for_each_partner(x, [&](std::uint32_t c, double score) {
+        if (c > x) offer(best[x], AffinityEdge{score, x, c});
+      });
+      heap.update(x);
     }
+    const bool found = !heap.empty();
+    AffinityEdge pick = found ? best[heap.top()] : AffinityEdge{};
     std::size_t fallback_pos = 0;
     if (!found) {
       // All remaining pairs share no data.  With zero sharing, cache
@@ -246,22 +323,24 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
       fallback_pos = smallest_adjacent_pair(
           fallback_ids.size(),
           [&](std::size_t p) { return clusters[fallback_ids[p]].iterations; });
-      best.a = std::min(fallback_ids[fallback_pos],
+      pick.u = std::min(fallback_ids[fallback_pos],
                         fallback_ids[fallback_pos + 1]);
-      best.b = std::max(fallback_ids[fallback_pos],
+      pick.v = std::max(fallback_ids[fallback_pos],
                         fallback_ids[fallback_pos + 1]);
     }
+    const std::uint32_t a = pick.u;
+    const std::uint32_t b = pick.v;
 
     MLSC_DEBUG("cluster merge: "
-               << best.b << " -> " << best.a
+               << b << " -> " << a
                << (found ? " (shared-data score " : " (zero-sharing fallback")
-               << (found ? std::to_string(best.score) : std::string())
-               << "), " << clusters[best.a].members.size() << "+"
-               << clusters[best.b].members.size() << " members, "
+               << (found ? std::to_string(pick.score) : std::string())
+               << "), " << clusters[a].members.size() << "+"
+               << clusters[b].members.size() << " members, "
                << alive_count - 1 << " clusters left");
-    clusters[best.a].absorb(std::move(clusters[best.b]));
-    alive[best.b] = false;
-    ++version[best.a];  // invalidates a's and the pair's old index entries
+    clusters[a].absorb(std::move(clusters[b]));
+    alive[b] = false;
+    ++version[a];  // invalidates a's old index entries
     --alive_count;
 
     if (alive_count <= target) break;
@@ -269,12 +348,36 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
       // The merged cluster takes the pair's slot (its order_key is the
       // pair's minimum, i.e. the key already at fallback_pos).  No
       // re-scoring: the heap is permanently dry in fallback mode.
-      fallback_ids[fallback_pos] = best.a;
+      fallback_ids[fallback_pos] = a;
       fallback_ids.erase(fallback_ids.begin() + fallback_pos + 1);
       continue;
     }
-    push_candidates(best.a);  // uses the merged tag's counts
-    index_cluster(best.a);    // re-index under the new version
+
+    // Rescore the merged cluster against every partner (its tag now
+    // holds both halves' counts) and repair the entries that named it.
+    // a leaves the heap while its key is rebuilt, so the partners'
+    // re-sifts below never compare against a half-built key.
+    heap.erase(a);
+    heap.erase(b);
+    best[a] = AffinityEdge{0, a, kNone};
+    stale[a] = false;
+    for_each_partner(a, [&](std::uint32_t c, double score) {
+      if (c > a) {
+        offer(best[a], AffinityEdge{score, a, c});
+        if (best[c].v == b) stale[c] = true;  // (c, b) is gone
+        return;
+      }
+      const AffinityEdge e{score, c, a};
+      if (best[c].v == kNone || !edge_better(best[c], e)) {
+        best[c] = e;  // ranks at or above the old best or bound: exact
+        stale[c] = false;
+        heap.update(c);
+      } else if (best[c].v == a || best[c].v == b) {
+        stale[c] = true;
+      }
+    });
+    heap.update(a);
+    index_cluster(a);  // re-index under the new version
   }
 
   std::vector<Cluster> survivors;

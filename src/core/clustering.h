@@ -4,9 +4,10 @@
 // fan-out requires.
 //
 // Two merge kernels are available (DESIGN.md §15):
-//   - kGreedy: the paper-faithful greedy agglomerative merge (max-heap of
-//     average-linkage candidates with lazy invalidation).  Quality
-//     reference, O(k^2 log k)-ish; the oracle for equivalence tests.
+//   - kGreedy: the paper-faithful greedy agglomerative merge (indexed
+//     max-heap of each cluster's best average-linkage candidate).
+//     Quality reference, O(k^2 log k)-ish; the oracle for equivalence
+//     tests.
 //   - kForest: the scalable similarity-weighted affinity forest —
 //     candidate edges from the affinity kernel's posting index, a
 //     Borůvka maximum-spanning-forest build, and a balance-capped cut of
@@ -105,8 +106,8 @@ std::vector<AffinityEdge> score_clusters(const std::vector<Cluster>& clusters,
 ///
 /// Greedy kernel: the initial candidates are score_clusters(); merged
 /// clusters are re-scored incrementally (versioned inverted index +
-/// max-heap with lazy invalidation), so the merge costs O(k^2 log k)
-/// word-ops rather than rescoring every pair per merge.  Forest kernel:
+/// an indexed heap of per-cluster best candidates), so the merge costs
+/// O(k^2 log k) word-ops rather than rescoring every pair per merge.  Forest kernel:
 /// Borůvka rounds hook score_clusters()'s edges into a maximum spanning
 /// forest, which is cut to `target` components in score order.
 ///

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,9 +43,9 @@ struct MemberChoice {
   std::uint64_t best_any_dot = 0;
 };
 
-/// Folds one member into the running choice with the same strict-
-/// improvement rules the original serial scan used, so any in-order
-/// partition of the member list reduces to the identical winner.
+/// Folds one member into the running choice.  Only a strict improvement
+/// replaces the choice, so the earliest member wins an affinity tie —
+/// except that among fits of equal affinity the larger chunk wins.
 void fold_member(MemberChoice& choice, std::uint32_t member, std::uint64_t d,
                  std::uint64_t move_max,
                  const std::vector<IterationChunk>& chunks) {
@@ -63,106 +62,92 @@ void fold_member(MemberChoice& choice, std::uint32_t member, std::uint64_t d,
   }
 }
 
-/// Incrementally maintained affinity scores for the balance loop's
-/// current (donor, recipient) pair.  The loop typically keeps the same
-/// pair for many consecutive moves, and rescoring every donor member
-/// with a galloped tag dot per move made balancing
-/// O(moves x members x log) — the dominant cost at bench scale.  The
-/// cache fills the dots once per pair and updates them in O(shared
-/// positions) per move: when the recipient absorbs a tag, a donor
-/// member's dot grows by exactly the number of positions the two tags
-/// share, which the bit -> members posting index enumerates directly.
-/// All updates are exact integer deltas, so the scan that consumes the
-/// cache picks the same member, bit for bit, as a fresh rescan.
-class AffinityCache {
+/// The recipient's cluster tag unpacked into a count table indexed by
+/// data chunk, so a donor member's affinity is the sum of its bits'
+/// counts — the exact integer ClusterTag::dot(ChunkTag) returns, from
+/// direct loads instead of a galloped search per member.  The table
+/// holds one cluster at a time: switching recipients clears the old
+/// cluster's positions and loads the new one's, and a move into the
+/// loaded recipient adds the arriving bits.  There is no per-pair
+/// state, so a new (donor, recipient) pair costs only the switch.
+class RecipientCounts {
  public:
-  bool active_for(std::size_t donor, std::size_t recipient) const {
-    return donor == donor_ && recipient == recipient_;
-  }
-
-  void activate(std::size_t donor, std::size_t recipient,
-                const std::vector<Cluster>& clusters,
-                const std::vector<IterationChunk>& chunks, ThreadPool* pool) {
-    if (active_for(donor, recipient)) return;
-    donor_ = donor;
-    recipient_ = recipient;
-    ++rebuilds_;
-    postings_.clear();
-    dots_.assign(chunks.size(), 0);
-    const auto& members = clusters[donor].members;
-    const ClusterTag& target = clusters[recipient].tag;
-    if (pool != nullptr && pool->num_threads() > 1 && members.size() >= 512) {
-      // Disjoint writes by member id: deterministic regardless of the
-      // block schedule.
-      const std::size_t grain = pool->default_grain(members.size());
-      pool->parallel_chunks(0, members.size(), grain,
-                            [&](std::size_t, std::size_t lo, std::size_t hi) {
-                              for (std::size_t i = lo; i < hi; ++i) {
-                                dots_[members[i]] =
-                                    target.dot(chunks[members[i]].tag);
-                              }
-                            });
-    } else {
-      for (std::uint32_t member : members) {
-        dots_[member] = target.dot(chunks[member].tag);
+  explicit RecipientCounts(const std::vector<Cluster>& clusters) {
+    std::uint32_t width = 0;
+    for (const Cluster& c : clusters) {
+      if (!c.tag.empty()) {
+        width = std::max(width, c.tag.entries().back().pos + 1);
       }
     }
-    for (std::uint32_t member : members) {
-      for (std::uint32_t b : chunks[member].tag.bits()) {
-        postings_[b].push_back(member);
-      }
+    counts_.assign(width, 0);
+  }
+
+  /// Makes the table hold clusters[recipient].tag.  Valid because the
+  /// loaded cluster only ever changes through absorbed().
+  void load(std::size_t recipient, const std::vector<Cluster>& clusters) {
+    if (recipient == loaded_) return;
+    if (loaded_ != SIZE_MAX) {
+      for (const auto& e : clusters[loaded_].tag.entries()) counts_[e.pos] = 0;
     }
-  }
-
-  std::uint64_t dot(std::uint32_t member) const { return dots_[member]; }
-
-  /// The cluster at `recipient` absorbed `arriving` (a whole member's
-  /// tag or a split head): every cached dot grows by its overlap with
-  /// the arriving tag.  Members that already left the donor pick up
-  /// stale increments, but the scan never reads them again.
-  void recipient_absorbed(std::size_t recipient, const ChunkTag& arriving) {
-    if (recipient != recipient_) return;
-    for (std::uint32_t b : arriving.bits()) {
-      const auto it = postings_.find(b);
-      if (it == postings_.end()) continue;
-      for (std::uint32_t member : it->second) ++dots_[member];
+    for (const auto& e : clusters[recipient].tag.entries()) {
+      counts_[e.pos] = e.count;
     }
+    loaded_ = recipient;
   }
 
-  /// The cluster at `donor` gained a freshly split tail chunk: score it
-  /// against the cached recipient's current tag and index its bits.
-  void donor_gained(std::size_t donor, std::uint32_t member,
-                    const std::vector<Cluster>& clusters,
-                    const IterationChunk& chunk) {
-    if (donor != donor_) return;
-    if (dots_.size() <= member) dots_.resize(member + 1, 0);
-    dots_[member] = clusters[recipient_].tag.dot(chunk.tag);
-    for (std::uint32_t b : chunk.tag.bits()) postings_[b].push_back(member);
+  /// The loaded recipient gained a chunk with this tag.
+  void absorbed(const ChunkTag& tag) {
+    for (std::uint32_t b : tag.bits()) ++counts_[b];
   }
 
-  std::size_t rebuilds() const { return rebuilds_; }
+  std::uint64_t affinity(const ChunkTag& tag) const {
+    std::uint64_t total = 0;
+    for (std::uint32_t b : tag.bits()) total += counts_[b];
+    return total;
+  }
 
  private:
-  std::size_t donor_ = SIZE_MAX;
-  std::size_t recipient_ = SIZE_MAX;
-  std::vector<std::uint64_t> dots_;   // by chunk id, donor members valid
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> postings_;
-  std::size_t rebuilds_ = 0;
+  std::vector<std::uint32_t> counts_;  // by data chunk
+  std::size_t loaded_ = SIZE_MAX;
 };
 
-/// Scores the donor against the recipient through the cache: identical
-/// winner to dotting every member afresh, O(members) comparisons.
-MemberChoice score_members(AffinityCache& cache, std::size_t donor,
-                           std::size_t recipient,
-                           const std::vector<Cluster>& clusters,
-                           const std::vector<IterationChunk>& chunks,
-                           std::uint64_t move_max, ThreadPool* pool) {
-  cache.activate(donor, recipient, clusters, chunks, pool);
+/// One eviction from donor to recipient: the donor member with maximal
+/// affinity to the recipient among those of at most move_max
+/// iterations moves whole; when none fits, the best-affinity member is
+/// split so exactly move_max iterations move (the head moves, the tail
+/// stays with the donor).
+void evict(std::size_t donor, std::size_t recipient, std::uint64_t move_max,
+           std::vector<Cluster>& clusters, std::vector<IterationChunk>& chunks,
+           RecipientCounts& counts) {
+  counts.load(recipient, clusters);
   MemberChoice choice;
   for (std::uint32_t member : clusters[donor].members) {
-    fold_member(choice, member, cache.dot(member), move_max, chunks);
+    fold_member(choice, member, counts.affinity(chunks[member].tag), move_max,
+                chunks);
   }
-  return choice;
+
+  if (choice.best_fit != UINT32_MAX) {
+    const std::uint32_t best_fit = choice.best_fit;
+    MLSC_DEBUG("balance evict: member " << best_fit << " ("
+               << chunks[best_fit].iterations << " iters) whole, cluster "
+               << donor << " -> " << recipient);
+    clusters[donor].remove_member(best_fit, chunks[best_fit]);
+    clusters[recipient].add_member(best_fit, chunks[best_fit]);
+    counts.absorbed(chunks[best_fit].tag);
+    return;
+  }
+  const std::uint32_t best_any = choice.best_any;
+  MLSC_CHECK(best_any != UINT32_MAX, "donor cluster has no members");
+  MLSC_DEBUG("balance evict: member " << best_any << " split, " << move_max
+             << " iters move, cluster " << donor << " -> " << recipient);
+  auto [head, tail] = split_chunk(chunks[best_any], move_max);
+  clusters[donor].remove_member(best_any, chunks[best_any]);
+  chunks[best_any] = std::move(head);
+  chunks.push_back(std::move(tail));
+  const auto tail_index = static_cast<std::uint32_t>(chunks.size() - 1);
+  clusters[recipient].add_member(best_any, chunks[best_any]);
+  clusters[donor].add_member(tail_index, chunks[tail_index]);
+  counts.absorbed(chunks[best_any].tag);
 }
 
 }  // namespace
@@ -182,8 +167,7 @@ bool is_balanced(const std::vector<Cluster>& clusters,
 std::size_t balance_clusters(std::vector<Cluster>& clusters,
                              std::vector<IterationChunk>& chunks,
                              const BalanceOptions& options,
-                             const BalanceLimits* explicit_limits,
-                             ThreadPool* pool) {
+                             const BalanceLimits* explicit_limits) {
   MLSC_CHECK(!clusters.empty(), "cannot balance an empty cluster set");
   obs::Span span("pipeline.load_balance");
   span.arg("clusters", static_cast<std::uint64_t>(clusters.size()));
@@ -198,7 +182,7 @@ std::size_t balance_clusters(std::vector<Cluster>& clusters,
         limits.upper, (total + clusters.size() - 1) / clusters.size());
   }
   std::size_t moves = 0;
-  AffinityCache cache;
+  RecipientCounts counts(clusters);
 
   for (;;) {
     // Donor: the largest cluster above the upper limit.
@@ -231,37 +215,7 @@ std::size_t balance_clusters(std::vector<Cluster>& clusters,
                "balance cannot make progress (limits "
                    << limits.lower << ".." << limits.upper << ")");
 
-    // Pick the donor member with maximal affinity to the recipient among
-    // those that fit whole; otherwise take the best-affinity member and
-    // split it so exactly move_max iterations move.
-    const MemberChoice choice = score_members(cache, donor, recipient,
-                                              clusters, chunks, move_max, pool);
-
-    if (choice.best_fit != UINT32_MAX) {
-      const std::uint32_t best_fit = choice.best_fit;
-      MLSC_DEBUG("balance evict: member " << best_fit << " ("
-                 << chunks[best_fit].iterations << " iters) whole, cluster "
-                 << donor << " -> " << recipient);
-      clusters[donor].remove_member(best_fit, chunks[best_fit]);
-      clusters[recipient].add_member(best_fit, chunks[best_fit]);
-      cache.recipient_absorbed(recipient, chunks[best_fit].tag);
-    } else {
-      const std::uint32_t best_any = choice.best_any;
-      MLSC_CHECK(best_any != UINT32_MAX, "donor cluster has no members");
-      MLSC_DEBUG("balance evict: member " << best_any << " split, "
-                 << move_max << " iters move, cluster " << donor << " -> "
-                 << recipient);
-      // Split best_any into (move_max, rest): the head moves.
-      auto [head, tail] = split_chunk(chunks[best_any], move_max);
-      clusters[donor].remove_member(best_any, chunks[best_any]);
-      chunks[best_any] = std::move(head);
-      chunks.push_back(std::move(tail));
-      const auto tail_index = static_cast<std::uint32_t>(chunks.size() - 1);
-      clusters[recipient].add_member(best_any, chunks[best_any]);
-      clusters[donor].add_member(tail_index, chunks[tail_index]);
-      cache.recipient_absorbed(recipient, chunks[best_any].tag);
-      cache.donor_gained(donor, tail_index, clusters, chunks[tail_index]);
-    }
+    evict(donor, recipient, move_max, clusters, chunks, counts);
     ++moves;
     MLSC_CHECK(moves < 100000, "balance loop did not converge");
   }
@@ -294,39 +248,12 @@ std::size_t balance_clusters(std::vector<Cluster>& clusters,
     const std::uint64_t move_max =
         std::min(need, clusters[donor].iterations - limits.lower);
 
-    const MemberChoice choice = score_members(cache, donor, recipient,
-                                              clusters, chunks, move_max, pool);
-    if (choice.best_fit != UINT32_MAX) {
-      const std::uint32_t best_fit = choice.best_fit;
-      MLSC_DEBUG("balance pull-up: member " << best_fit << " ("
-                 << chunks[best_fit].iterations << " iters) whole, cluster "
-                 << donor << " -> " << recipient);
-      clusters[donor].remove_member(best_fit, chunks[best_fit]);
-      clusters[recipient].add_member(best_fit, chunks[best_fit]);
-      cache.recipient_absorbed(recipient, chunks[best_fit].tag);
-    } else {
-      const std::uint32_t best_any = choice.best_any;
-      MLSC_CHECK(best_any != UINT32_MAX, "donor cluster has no members");
-      MLSC_DEBUG("balance pull-up: member " << best_any << " split, "
-                 << move_max << " iters move, cluster " << donor << " -> "
-                 << recipient);
-      auto [head, tail] = split_chunk(chunks[best_any], move_max);
-      clusters[donor].remove_member(best_any, chunks[best_any]);
-      chunks[best_any] = std::move(head);
-      chunks.push_back(std::move(tail));
-      const auto tail_index = static_cast<std::uint32_t>(chunks.size() - 1);
-      clusters[recipient].add_member(best_any, chunks[best_any]);
-      clusters[donor].add_member(tail_index, chunks[tail_index]);
-      cache.recipient_absorbed(recipient, chunks[best_any].tag);
-      cache.donor_gained(donor, tail_index, clusters, chunks[tail_index]);
-    }
+    evict(donor, recipient, move_max, clusters, chunks, counts);
     ++moves;
     MLSC_CHECK(moves < 200000, "balance lower pass did not converge");
   }
   span.arg("moves", static_cast<std::uint64_t>(moves));
-  span.arg("affinity_rebuilds", static_cast<std::uint64_t>(cache.rebuilds()));
   MLSC_COUNTER_ADD("pipeline.balance_moves", moves);
-  MLSC_COUNTER_ADD("pipeline.balance_affinity_rebuilds", cache.rebuilds());
   return moves;
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/clustering.h"
-#include "support/thread_pool.h"
 
 namespace mlsc::core {
 
@@ -43,15 +42,13 @@ BalanceLimits balance_limits(std::uint64_t total, std::size_t count,
 /// compound: BThres bounds the imbalance "across the iteration counts of
 /// any two client nodes" (§4.3), not per tree level.
 ///
-/// When `pool` is non-null, each eviction's candidate scoring (the dot of
-/// every donor member against the recipient's cluster tag) fans out over
-/// the pool with a reduction in block order, so the chosen member — and
-/// the final balance — is bit-identical to the serial scan.
+/// Runs serially: each eviction scores the donor's members against a
+/// dense count table of the recipient's tag, a few direct loads per
+/// member, so there is nothing worth fanning out over a pool.
 std::size_t balance_clusters(std::vector<Cluster>& clusters,
                              std::vector<IterationChunk>& chunks,
                              const BalanceOptions& options,
-                             const BalanceLimits* explicit_limits = nullptr,
-                             ThreadPool* pool = nullptr);
+                             const BalanceLimits* explicit_limits = nullptr);
 
 /// True when every cluster is within the limits implied by `options`.
 bool is_balanced(const std::vector<Cluster>& clusters,

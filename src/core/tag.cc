@@ -98,54 +98,93 @@ DynamicBitset ChunkTag::to_bitset(std::size_t r) const {
   return set;
 }
 
-void ClusterTag::add(const ChunkTag& tag) {
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + tag.bits().size());
-  auto e = entries_.begin();
-  auto b = tag.bits().begin();
-  while (e != entries_.end() || b != tag.bits().end()) {
-    if (b == tag.bits().end() || (e != entries_.end() && e->pos < *b)) {
-      merged.push_back(*e++);
-    } else if (e == entries_.end() || *b < e->pos) {
-      merged.push_back(Entry{*b++, 1});
+namespace {
+
+bool pos_less(const ClusterTag::Entry& e, std::uint32_t pos) {
+  return e.pos < pos;
+}
+
+/// The first entry at or after `from` whose position is not below `pos`.
+/// Binary search when the probing side is much narrower than the
+/// entries (`skewed`), a linear step otherwise.
+std::vector<ClusterTag::Entry>::iterator seek(
+    std::vector<ClusterTag::Entry>::iterator from,
+    std::vector<ClusterTag::Entry>::iterator end, std::uint32_t pos,
+    bool skewed) {
+  if (skewed) return std::lower_bound(from, end, pos, pos_less);
+  while (from != end && from->pos < pos) ++from;
+  return from;
+}
+
+/// Adds `count_of(i)` at position `pos_of(i)` for each of `n` ascending
+/// positions, in place: counts at positions already present are bumped
+/// in one forward pass; only when some position is new does the vector
+/// grow, and a backward merge then opens each gap exactly once.
+template <class PosOf, class CountOf>
+void add_sorted(std::vector<ClusterTag::Entry>& entries, std::size_t n,
+                const PosOf& pos_of, const CountOf& count_of) {
+  const bool skewed = n != 0 && entries.size() / n >= 8;
+  std::size_t missing = 0;
+  auto from = entries.begin();
+  for (std::size_t i = 0; i < n; ++i) {
+    from = seek(from, entries.end(), pos_of(i), skewed);
+    if (from != entries.end() && from->pos == pos_of(i)) {
+      (from++)->count += count_of(i);
     } else {
-      merged.push_back(Entry{e->pos, e->count + 1});
-      ++e;
-      ++b;
+      ++missing;
     }
   }
-  entries_ = std::move(merged);
+  if (missing == 0) return;
+  std::size_t read = entries.size();
+  std::size_t write = read + missing;
+  std::size_t next = n;  // positions [0, next) not yet placed
+  entries.resize(write);
+  while (write > read) {
+    const std::uint32_t pos = pos_of(next - 1);
+    if (read > 0 && entries[read - 1].pos >= pos) {
+      if (entries[read - 1].pos == pos) --next;  // already bumped above
+      entries[--write] = entries[--read];
+    } else {
+      entries[--write] = ClusterTag::Entry{pos, count_of(next - 1)};
+      --next;
+    }
+  }
+}
+
+}  // namespace
+
+void ClusterTag::add(const ChunkTag& tag) {
+  const auto& bits = tag.bits();
+  add_sorted(
+      entries_, bits.size(), [&](std::size_t i) { return bits[i]; },
+      [](std::size_t) { return std::uint32_t{1}; });
 }
 
 void ClusterTag::add(const ClusterTag& other) {
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  auto a = entries_.begin();
-  auto b = other.entries_.begin();
-  while (a != entries_.end() || b != other.entries_.end()) {
-    if (b == other.entries_.end() ||
-        (a != entries_.end() && a->pos < b->pos)) {
-      merged.push_back(*a++);
-    } else if (a == entries_.end() || b->pos < a->pos) {
-      merged.push_back(*b++);
-    } else {
-      merged.push_back(Entry{a->pos, a->count + b->count});
-      ++a;
-      ++b;
-    }
-  }
-  entries_ = std::move(merged);
+  const auto& more = other.entries_;
+  add_sorted(
+      entries_, more.size(), [&](std::size_t i) { return more[i].pos; },
+      [&](std::size_t i) { return more[i].count; });
 }
 
 void ClusterTag::remove(const ChunkTag& tag) {
+  const bool skewed =
+      !tag.bits().empty() && entries_.size() / tag.bits().size() >= 8;
+  auto first_empty = entries_.end();
   auto e = entries_.begin();
   for (std::uint32_t b : tag.bits()) {
-    while (e != entries_.end() && e->pos < b) ++e;
+    e = seek(e, entries_.end(), b, skewed);
     MLSC_CHECK(e != entries_.end() && e->pos == b && e->count > 0,
                "removing tag bit " << b << " not present in cluster tag");
-    --e->count;
+    if (--e->count == 0 && first_empty == entries_.end()) first_empty = e;
+    ++e;
   }
-  std::erase_if(entries_, [](const Entry& entry) { return entry.count == 0; });
+  // Compact only from the first emptied entry on, and only if one was.
+  entries_.erase(std::remove_if(first_empty, entries_.end(),
+                                [](const Entry& entry) {
+                                  return entry.count == 0;
+                                }),
+                 entries_.end());
 }
 
 std::uint64_t ClusterTag::dot(const ClusterTag& other) const {

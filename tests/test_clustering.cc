@@ -6,6 +6,7 @@
 #include <set>
 
 #include "support/check.h"
+#include "support/rng.h"
 
 namespace mlsc::core {
 namespace {
@@ -264,6 +265,152 @@ TEST(Clustering, AutoUsesGreedyBelowThresholdForestAbove) {
   forced_auto.forest_threshold = 0;
   cluster_to_count(forest_clusters, 2, chunks_forest, nullptr, forced_auto);
   ASSERT_EQ(forest_clusters.size(), 2u);
+}
+
+/// Reference greedy merge: every step rescores all alive pairs with
+/// ClusterTag::dot and merges the best under edge_better (score, then
+/// smaller ids), or — when no pair shares data — the rank-adjacent pair
+/// with the smallest combined iterations.  Appends each merge (a, b),
+/// a < b, to `merges`; the survivor keeps slot a.
+struct NaiveMergeStats {
+  std::size_t ties = 0;       // steps whose best score was shared
+  std::size_t fallbacks = 0;  // steps with no pair sharing data
+};
+
+NaiveMergeStats naive_merge(std::vector<Cluster> clusters, std::size_t target,
+                 std::vector<std::pair<std::uint32_t, std::uint32_t>>& merges) {
+  NaiveMergeStats stats;
+  std::vector<bool> alive(clusters.size(), true);
+  std::size_t alive_count = clusters.size();
+  while (alive_count > target) {
+    AffinityEdge best{0, 0, UINT32_MAX};
+    std::size_t at_best = 0;
+    for (std::uint32_t a = 0; a < clusters.size(); ++a) {
+      for (std::uint32_t b = a + 1; alive[a] && b < clusters.size(); ++b) {
+        if (!alive[b]) continue;
+        const std::uint64_t dot = clusters[a].tag.dot(clusters[b].tag);
+        if (dot == 0) continue;
+        const AffinityEdge e{
+            static_cast<double>(dot) /
+                (static_cast<double>(clusters[a].members.size()) *
+                 static_cast<double>(clusters[b].members.size())),
+            a, b};
+        if (best.v != UINT32_MAX && e.score == best.score) ++at_best;
+        if (best.v == UINT32_MAX || e.score > best.score) at_best = 1;
+        if (best.v == UINT32_MAX || edge_better(e, best)) best = e;
+      }
+    }
+    if (at_best > 1) ++stats.ties;
+    if (best.v == UINT32_MAX) {
+      ++stats.fallbacks;
+      std::vector<std::uint32_t> ids;
+      for (std::uint32_t i = 0; i < clusters.size(); ++i) {
+        if (alive[i]) ids.push_back(i);
+      }
+      std::sort(ids.begin(), ids.end(), [&](std::uint32_t x, std::uint32_t y) {
+        return clusters[x].order_key < clusters[y].order_key;
+      });
+      const std::size_t p =
+          smallest_adjacent_pair(ids.size(), [&](std::size_t i) {
+            return clusters[ids[i]].iterations;
+          });
+      best.u = std::min(ids[p], ids[p + 1]);
+      best.v = std::max(ids[p], ids[p + 1]);
+    }
+    merges.emplace_back(best.u, best.v);
+    clusters[best.u].absorb(std::move(clusters[best.v]));
+    alive[best.v] = false;
+    --alive_count;
+  }
+  return stats;
+}
+
+/// The clusters naive_merge's first `count` merges leave, in slot order.
+std::vector<Cluster> replay_merges(
+    std::vector<Cluster> clusters,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& merges,
+    std::size_t count) {
+  std::vector<bool> alive(clusters.size(), true);
+  for (std::size_t m = 0; m < count; ++m) {
+    clusters[merges[m].first].absorb(std::move(clusters[merges[m].second]));
+    alive[merges[m].second] = false;
+  }
+  std::vector<Cluster> out;
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    if (alive[i]) out.push_back(std::move(clusters[i]));
+  }
+  return out;
+}
+
+/// Differential oracle for the greedy kernel: for every target count
+/// the result equals the naive merge's after the same number of steps,
+/// so the whole merge sequence agrees — member order included, which
+/// records the order clusters were absorbed in.  Narrow data spaces make
+/// tied scores common; disjoint tag groups run into the zero-sharing
+/// fallback; pre-merged inputs start from unequal member counts.
+TEST(ClusteringOracle, GreedyMatchesNaiveRescoreSequence) {
+  mlsc::Rng rng(99);
+  ClusterOptions greedy;
+  greedy.algorithm = ClusterOptions::Algorithm::kGreedy;
+  NaiveMergeStats seen;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t k = 2 + rng.next_below(63);
+    const auto width =
+        static_cast<std::uint32_t>(3 + rng.next_below(40));
+    const auto groups =
+        static_cast<std::uint32_t>(1 + rng.next_below(4));
+    std::vector<IterationChunk> chunks;
+    for (std::uint32_t i = 0; i < k; ++i) {
+      // Each chunk draws its bits from one group's disjoint slice of
+      // the data space.
+      const std::uint32_t group =
+          static_cast<std::uint32_t>(rng.next_below(groups));
+      std::vector<std::uint32_t> bits;
+      const std::size_t nbits = 1 + rng.next_below(4);
+      for (std::size_t b = 0; b < nbits; ++b) {
+        bits.push_back(group * width +
+                       static_cast<std::uint32_t>(rng.next_below(width)));
+      }
+      const std::uint64_t begin = i * 100;
+      chunks.push_back(make_chunk(static_cast<poly::NestId>(rng.next_below(2)),
+                                  begin, begin + 1 + rng.next_below(99),
+                                  std::move(bits)));
+    }
+    std::vector<std::uint32_t> all(k);
+    for (std::uint32_t i = 0; i < k; ++i) all[i] = i;
+    std::vector<Cluster> input = make_singletons(all, chunks);
+    if (trial % 3 == 2) {
+      // Pre-merge random neighbours so the input sizes differ.
+      std::vector<Cluster> grouped;
+      for (auto& c : input) {
+        if (!grouped.empty() && rng.next_below(2) == 0) {
+          grouped.back().absorb(std::move(c));
+        } else {
+          grouped.push_back(std::move(c));
+        }
+      }
+      input = std::move(grouped);
+    }
+
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> merges;
+    const NaiveMergeStats naive = naive_merge(input, 1, merges);
+    for (std::size_t target = input.size(); target >= 1; --target) {
+      auto clusters = input;
+      auto scratch = chunks;
+      cluster_to_count(clusters, target, scratch, nullptr, greedy);
+      const auto want = replay_merges(input, merges, input.size() - target);
+      ASSERT_EQ(clusters.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(clusters[i].members, want[i].members)
+            << "trial " << trial << ", target " << target << ", cluster " << i;
+      }
+    }
+    seen.fallbacks += naive.fallbacks;
+    seen.ties += naive.ties;
+  }
+  // The tables reached both the tie-break and the fallback.
+  EXPECT_GT(seen.ties, 50u);
+  EXPECT_GT(seen.fallbacks, 20u);
 }
 
 }  // namespace

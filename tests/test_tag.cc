@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "support/check.h"
+#include "support/rng.h"
+
 namespace mlsc::core {
 namespace {
 
@@ -99,6 +104,63 @@ TEST(ClusterTag, PositionsAndEntries) {
   ASSERT_EQ(t.entries().size(), 2u);
   EXPECT_EQ(t.entries()[0].count, 2u);
   EXPECT_EQ(t.entries()[1].count, 1u);
+}
+
+/// The in-place updates keep the entries equal to a reference count map
+/// through random adds, cluster merges and removals, at both narrow and
+/// wide (galloped) size ratios.
+TEST(ClusterTag, InPlaceUpdatesMatchReferenceCounts) {
+  mlsc::Rng rng(7);
+  auto random_tag = [&](std::uint32_t width, std::size_t max_bits) {
+    std::vector<std::uint32_t> bits;
+    const std::size_t n = rng.next_below(max_bits + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      bits.push_back(static_cast<std::uint32_t>(rng.next_below(width)));
+    }
+    return ChunkTag::from_bits(std::move(bits));
+  };
+  auto expect_matches = [](const ClusterTag& tag,
+                           const std::map<std::uint32_t, std::uint32_t>& ref) {
+    ASSERT_EQ(tag.entries().size(), ref.size());
+    auto it = ref.begin();
+    for (const auto& e : tag.entries()) {
+      EXPECT_EQ(e.pos, it->first);
+      EXPECT_EQ(e.count, it->second);
+      ++it;
+    }
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto width =
+        static_cast<std::uint32_t>(1 + rng.next_below(300));
+    ClusterTag tag;
+    std::map<std::uint32_t, std::uint32_t> ref;
+    std::vector<ChunkTag> members;
+    for (int step = 0; step < 60; ++step) {
+      const auto op = rng.next_below(4);
+      if (op == 0 && !members.empty()) {
+        const std::size_t victim = rng.next_below(members.size());
+        tag.remove(members[victim]);
+        for (std::uint32_t b : members[victim].bits()) {
+          if (--ref[b] == 0) ref.erase(b);
+        }
+        members.erase(members.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else if (op == 1) {
+        ClusterTag other;
+        const std::size_t n = 1 + rng.next_below(4);
+        for (std::size_t i = 0; i < n; ++i) {
+          members.push_back(random_tag(width, 1 + rng.next_below(40)));
+          other.add(members.back());
+          for (std::uint32_t b : members.back().bits()) ++ref[b];
+        }
+        tag.add(other);
+      } else {
+        members.push_back(random_tag(width, 1 + rng.next_below(40)));
+        tag.add(members.back());
+        for (std::uint32_t b : members.back().bits()) ++ref[b];
+      }
+      expect_matches(tag, ref);
+    }
+  }
 }
 
 }  // namespace
