@@ -65,7 +65,8 @@ BENCHMARK(BM_PolicyAccess)
     ->Arg(static_cast<int>(cache::PolicyKind::kClock))
     ->Arg(static_cast<int>(cache::PolicyKind::kLfu))
     ->Arg(static_cast<int>(cache::PolicyKind::kTwoQ))
-    ->Arg(static_cast<int>(cache::PolicyKind::kMq));
+    ->Arg(static_cast<int>(cache::PolicyKind::kMq))
+    ->Arg(static_cast<int>(cache::PolicyKind::kArc));
 
 void BM_TaggingMadbench(benchmark::State& state) {
   const auto workload = workloads::make_workload("madbench2");

@@ -2,162 +2,95 @@
 // adaptive recency/frequency family the paper's related work samples
 // with SARC [20].  Two resident LRU lists (T1: seen once, T2: seen
 // again) plus two ghost lists (B1, B2) steer the adaptation target p.
-#include <list>
-#include <unordered_map>
+// |T1| + |B1| <= c and all four lists together hold at most 2c.
+#include <algorithm>
 
-#include "cache/policy.h"
-#include "support/check.h"
+#include "cache/slot_lists.h"
 
 namespace mlsc::cache {
 namespace {
 
-class ArcPolicy : public PolicyCore {
- public:
-  explicit ArcPolicy(std::size_t capacity) : capacity_(capacity) {
-    MLSC_CHECK(capacity_ > 0, "cache capacity must be positive");
-  }
+enum : std::size_t { kT1, kT2, kB1, kB2 };
 
-  bool contains(ChunkId id) const override {
-    auto it = where_.find(id);
-    return it != where_.end() &&
-           (it->second.list == List::kT1 || it->second.list == List::kT2);
-  }
+class ArcPolicy final : public SlotPolicy {
+ public:
+  explicit ArcPolicy(std::size_t capacity)
+      : SlotPolicy(PolicyKind::kArc, capacity, /*ghost_slots=*/capacity,
+                   /*resident_lists=*/2, /*ghost_lists=*/2) {}
 
   bool touch(ChunkId id) override {
-    auto it = where_.find(id);
-    if (it == where_.end()) return false;
-    switch (it->second.list) {
-      case List::kT1:
-        // Second reference: promote to the frequency list.
-        t1_.erase(it->second.pos);
-        t2_.push_front(id);
-        it->second = Entry{List::kT2, t2_.begin()};
-        return true;
-      case List::kT2:
-        t2_.splice(t2_.begin(), t2_, it->second.pos);
-        return true;
-      case List::kB1:
-      case List::kB2:
-        return false;  // ghost: not resident
-    }
-    return false;
+    const Slot slot = lists_.find(id);
+    if (!resident(slot)) return false;
+    // A second reference promotes T1 to the frequency list T2.
+    lists_.move_front(slot, kT2);
+    return true;
   }
 
   std::optional<ChunkId> insert(ChunkId id) override {
     if (touch(id)) return std::nullopt;
-    std::optional<ChunkId> evicted;
-
-    auto it = where_.find(id);
-    if (it != where_.end() && it->second.list == List::kB1) {
-      // Ghost hit in B1: favour recency (grow p), insert into T2.
-      const std::size_t delta =
-          std::max<std::size_t>(1, b2_.size() / std::max<std::size_t>(
-                                                    1, b1_.size()));
-      p_ = std::min(capacity_, p_ + delta);
-      b1_.erase(it->second.pos);
-      where_.erase(it);
-      evicted = replace(/*in_b2=*/false);
-      t2_.push_front(id);
-      where_[id] = Entry{List::kT2, t2_.begin()};
-      return evicted;
-    }
-    if (it != where_.end() && it->second.list == List::kB2) {
-      // Ghost hit in B2: favour frequency (shrink p), insert into T2.
-      const std::size_t delta =
-          std::max<std::size_t>(1, b1_.size() / std::max<std::size_t>(
-                                                    1, b2_.size()));
-      p_ = p_ > delta ? p_ - delta : 0;
-      b2_.erase(it->second.pos);
-      where_.erase(it);
-      evicted = replace(/*in_b2=*/true);
-      t2_.push_front(id);
-      where_[id] = Entry{List::kT2, t2_.begin()};
+    const std::size_t c = capacity();
+    const Slot ghost = lists_.find(id);
+    if (ghost != kNone) {
+      // Ghost hit: B1 favours recency (grow p), B2 frequency (shrink p);
+      // either way the chunk re-enters in T2.
+      const bool in_b2 = lists_.list_of(ghost) == kB2;
+      const std::size_t b1 = lists_.size(kB1);
+      const std::size_t b2 = lists_.size(kB2);
+      if (in_b2) {
+        const std::size_t delta =
+            std::max<std::size_t>(1, b1 / std::max<std::size_t>(1, b2));
+        p_ = p_ > delta ? p_ - delta : 0;
+      } else {
+        p_ = std::min(c, p_ + std::max<std::size_t>(
+                                  1, b2 / std::max<std::size_t>(1, b1)));
+      }
+      lists_.remove(ghost);
+      const auto evicted = replace(in_b2);
+      lists_.push_front(kT2, id);
       return evicted;
     }
 
     // Brand new chunk.
-    if (t1_.size() + b1_.size() == capacity_) {
-      if (t1_.size() < capacity_) {
-        drop_ghost(b1_);
+    std::optional<ChunkId> evicted;
+    const std::size_t t1 = lists_.size(kT1);
+    if (t1 + lists_.size(kB1) == c) {
+      if (t1 < c) {
+        drop_ghost(kB1);
         evicted = replace(false);
       } else {
-        // B1 empty: evict the LRU of T1 directly.
-        evicted = pop_lru(t1_, /*ghost=*/nullptr);
+        evicted = lists_.pop_back(kT1);  // B1 empty: evict T1's LRU
       }
-    } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() >=
-               capacity_) {
-      if (t1_.size() + t2_.size() + b1_.size() + b2_.size() >=
-          2 * capacity_) {
-        drop_ghost(b2_);
-      }
-      if (size() == capacity_) evicted = replace(false);
+    } else if (lists_.used() >= c) {
+      if (lists_.used() >= 2 * c) drop_ghost(kB2);
+      if (size() == c) evicted = replace(false);
     }
-    t1_.push_front(id);
-    where_[id] = Entry{List::kT1, t1_.begin()};
+    lists_.push_front(kT1, id);
     return evicted;
   }
 
-  bool erase(ChunkId id) override {
-    auto it = where_.find(id);
-    if (it == where_.end() || it->second.list == List::kB1 ||
-        it->second.list == List::kB2) {
-      return false;
-    }
-    (it->second.list == List::kT1 ? t1_ : t2_).erase(it->second.pos);
-    where_.erase(it);
-    return true;
-  }
-
-  std::size_t size() const override { return t1_.size() + t2_.size(); }
-  std::size_t capacity() const override { return capacity_; }
-  PolicyKind kind() const override { return PolicyKind::kArc; }
-
  private:
-  enum class List { kT1, kT2, kB1, kB2 };
-  struct Entry {
-    List list;
-    std::list<ChunkId>::iterator pos;
-  };
-
-  void drop_ghost(std::list<ChunkId>& ghost) {
-    if (ghost.empty()) return;
-    where_.erase(ghost.back());
-    ghost.pop_back();
+  void drop_ghost(std::size_t ghost) {
+    if (lists_.size(ghost) != 0) lists_.remove(lists_.back(ghost));
   }
 
-  ChunkId pop_lru(std::list<ChunkId>& from, std::list<ChunkId>* ghost) {
-    MLSC_CHECK(!from.empty(), "ARC replace on an empty list");
-    const ChunkId victim = from.back();
-    from.pop_back();
-    if (ghost != nullptr) {
-      ghost->push_front(victim);
-      where_[victim] =
-          Entry{ghost == &b1_ ? List::kB1 : List::kB2, ghost->begin()};
-    } else {
-      where_.erase(victim);
-    }
-    return victim;
+  ChunkId demote(std::size_t from, std::size_t ghost) {
+    const Slot victim = lists_.back(from);
+    MLSC_CHECK(victim != kNone, "ARC replace on an empty list");
+    lists_.move_front(victim, ghost);
+    return lists_.chunk(victim);
   }
 
   /// ARC's REPLACE: evict from T1 into B1 when T1 exceeds the target p
   /// (or on a B2 hit at the boundary), else from T2 into B2.
   std::optional<ChunkId> replace(bool in_b2) {
-    if (size() < capacity_) return std::nullopt;
-    if (!t1_.empty() &&
-        (t1_.size() > p_ || (in_b2 && t1_.size() == p_))) {
-      return pop_lru(t1_, &b1_);
-    }
-    if (!t2_.empty()) return pop_lru(t2_, &b2_);
-    return pop_lru(t1_, &b1_);
+    if (size() < capacity()) return std::nullopt;
+    const std::size_t t1 = lists_.size(kT1);
+    if (t1 != 0 && (t1 > p_ || (in_b2 && t1 == p_))) return demote(kT1, kB1);
+    if (lists_.size(kT2) != 0) return demote(kT2, kB2);
+    return demote(kT1, kB1);
   }
 
-  std::size_t capacity_;
-  std::size_t p_ = 0;        // adaptation target for |T1|
-  std::list<ChunkId> t1_;    // resident, referenced once
-  std::list<ChunkId> t2_;    // resident, referenced at least twice
-  std::list<ChunkId> b1_;    // ghosts of T1
-  std::list<ChunkId> b2_;    // ghosts of T2
-  std::unordered_map<ChunkId, Entry> where_;
+  std::size_t p_ = 0;  // adaptation target for |T1|
 };
 
 }  // namespace

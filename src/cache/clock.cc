@@ -1,83 +1,49 @@
 // CLOCK (second-chance) policy core: a circular buffer of frames with
 // reference bits; the hand sweeps past referenced frames, clearing them.
-#include <unordered_map>
+// Frame = slot: the pool hands out the lowest-numbered empty frame (the
+// next unused one while warming, the lowest erased one after erase(),
+// the victim's own frame when full), so a fill costs O(1) while warming.
 #include <vector>
 
-#include "cache/policy.h"
-#include "support/check.h"
+#include "cache/slot_lists.h"
 
 namespace mlsc::cache {
 namespace {
 
-class ClockPolicy : public PolicyCore {
+class ClockPolicy final : public SlotPolicy {
  public:
-  explicit ClockPolicy(std::size_t capacity) : frames_(capacity) {
-    MLSC_CHECK(capacity > 0, "cache capacity must be positive");
-  }
-
-  bool contains(ChunkId id) const override { return index_.count(id) != 0; }
+  explicit ClockPolicy(std::size_t capacity)
+      : SlotPolicy(PolicyKind::kClock, capacity, /*ghost_slots=*/0,
+                   /*resident_lists=*/1, /*ghost_lists=*/0),
+        referenced_(capacity, 0) {}
 
   bool touch(ChunkId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    frames_[it->second].referenced = true;
+    const Slot frame = lists_.find(id);
+    if (frame == kNone) return false;
+    referenced_[frame] = 1;
     return true;
   }
 
   std::optional<ChunkId> insert(ChunkId id) override {
     if (touch(id)) return std::nullopt;
-    if (size_ < frames_.size()) {
-      // Fill an empty frame.
-      for (std::size_t f = 0; f < frames_.size(); ++f) {
-        if (!frames_[f].occupied) {
-          place(f, id);
-          ++size_;
-          return std::nullopt;
-        }
+    std::optional<ChunkId> victim;
+    if (size() == capacity()) {
+      // Sweep the hand until an unreferenced frame is found.
+      while (referenced_[hand_] != 0) {
+        referenced_[hand_] = 0;
+        hand_ = (hand_ + 1) % capacity();
       }
-      MLSC_CHECK(false, "size bookkeeping out of sync");
+      victim = lists_.chunk(static_cast<Slot>(hand_));
+      lists_.remove(static_cast<Slot>(hand_));
+      hand_ = (hand_ + 1) % capacity();
     }
-    // Sweep the hand until an unreferenced frame is found.
-    while (frames_[hand_].referenced) {
-      frames_[hand_].referenced = false;
-      hand_ = (hand_ + 1) % frames_.size();
-    }
-    const ChunkId victim = frames_[hand_].chunk;
-    index_.erase(victim);
-    place(hand_, id);
-    hand_ = (hand_ + 1) % frames_.size();
+    referenced_[lists_.push_front(0, id)] = 1;
     return victim;
   }
 
-  bool erase(ChunkId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    frames_[it->second] = Frame{};
-    index_.erase(it);
-    --size_;
-    return true;
-  }
-
-  std::size_t size() const override { return size_; }
-  std::size_t capacity() const override { return frames_.size(); }
-  PolicyKind kind() const override { return PolicyKind::kClock; }
-
  private:
-  struct Frame {
-    ChunkId chunk = 0;
-    bool occupied = false;
-    bool referenced = false;
-  };
-
-  void place(std::size_t frame, ChunkId id) {
-    frames_[frame] = Frame{id, /*occupied=*/true, /*referenced=*/true};
-    index_[id] = frame;
-  }
-
-  std::vector<Frame> frames_;
-  std::unordered_map<ChunkId, std::size_t> index_;
+  std::vector<char> referenced_;  // by frame
   std::size_t hand_ = 0;
-  std::size_t size_ = 0;
 };
 
 }  // namespace

@@ -1,86 +1,72 @@
-// LFU policy core with LRU tie-breaking: frequency buckets in an ordered
-// map, each bucket an LRU list; the victim is the least recently used
-// member of the lowest-frequency bucket.
-#include <list>
+// LFU policy core with LRU tie-breaking: one list per frequency bucket
+// (front = most recently used at that frequency); the victim is the tail
+// of the lowest-frequency bucket.  At most `capacity` buckets are
+// non-empty, plus the one a bump opens before it empties the old one.
 #include <map>
-#include <unordered_map>
+#include <vector>
 
-#include "cache/policy.h"
-#include "support/check.h"
+#include "cache/slot_lists.h"
 
 namespace mlsc::cache {
 namespace {
 
-class LfuPolicy : public PolicyCore {
+class LfuPolicy final : public SlotPolicy {
  public:
-  explicit LfuPolicy(std::size_t capacity) : capacity_(capacity) {
-    MLSC_CHECK(capacity_ > 0, "cache capacity must be positive");
+  explicit LfuPolicy(std::size_t capacity)
+      : SlotPolicy(PolicyKind::kLfu, capacity, /*ghost_slots=*/0,
+                   /*resident_lists=*/capacity + 1, /*ghost_lists=*/0),
+        freq_(capacity) {
+    for (std::size_t list = 0; list <= capacity; ++list) spare_.push_back(list);
   }
 
-  bool contains(ChunkId id) const override { return index_.count(id) != 0; }
-
   bool touch(ChunkId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    bump(it);
+    const Slot slot = lists_.find(id);
+    if (slot == kNone) return false;
+    const std::size_t from = lists_.list_of(slot);
+    lists_.move_front(slot, bucket(++freq_[slot]));
+    retire_if_empty(from, freq_[slot] - 1);
     return true;
   }
 
   std::optional<ChunkId> insert(ChunkId id) override {
     if (touch(id)) return std::nullopt;
     std::optional<ChunkId> evicted;
-    if (index_.size() == capacity_) {
-      auto bucket_it = buckets_.begin();
-      evicted = bucket_it->second.back();
-      bucket_it->second.pop_back();
-      if (bucket_it->second.empty()) buckets_.erase(bucket_it);
-      index_.erase(*evicted);
+    if (size() == capacity()) {
+      const Slot victim = lists_.back(buckets_.begin()->second);
+      evicted = lists_.chunk(victim);
+      drop(victim);
     }
-    auto& bucket = buckets_[1];
-    bucket.push_front(id);
-    index_[id] = Entry{1, bucket.begin()};
+    freq_[lists_.push_front(bucket(1), id)] = 1;
     return evicted;
   }
 
-  bool erase(ChunkId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    remove_from_bucket(it->second);
-    index_.erase(it);
-    return true;
+ protected:
+  void drop(Slot slot) override {
+    const std::size_t list = lists_.list_of(slot);
+    lists_.remove(slot);
+    retire_if_empty(list, freq_[slot]);
   }
-
-  std::size_t size() const override { return index_.size(); }
-  std::size_t capacity() const override { return capacity_; }
-  PolicyKind kind() const override { return PolicyKind::kLfu; }
 
  private:
-  struct Entry {
-    std::uint64_t freq = 0;
-    std::list<ChunkId>::iterator pos;
-  };
-  using Index = std::unordered_map<ChunkId, Entry>;
-
-  void remove_from_bucket(const Entry& entry) {
-    auto bucket_it = buckets_.find(entry.freq);
-    bucket_it->second.erase(entry.pos);
-    if (bucket_it->second.empty()) buckets_.erase(bucket_it);
+  /// The list of the bucket for `freq`, opened from the spares if new.
+  std::size_t bucket(std::uint64_t freq) {
+    auto [it, opened] = buckets_.try_emplace(freq, 0);
+    if (opened) {
+      it->second = spare_.back();
+      spare_.pop_back();
+    }
+    return it->second;
   }
 
-  void bump(Index::iterator it) {
-    const ChunkId id = it->first;
-    Entry& entry = it->second;
-    remove_from_bucket(entry);
-    ++entry.freq;
-    auto& bucket = buckets_[entry.freq];
-    bucket.push_front(id);
-    entry.pos = bucket.begin();
+  void retire_if_empty(std::size_t list, std::uint64_t freq) {
+    if (lists_.size(list) != 0) return;
+    buckets_.erase(freq);
+    spare_.push_back(list);
   }
 
-  std::size_t capacity_;
-  // freq -> LRU list (front = most recently used at that frequency).
-  std::map<std::uint64_t, std::list<ChunkId>> buckets_;
-  Index index_;
+  std::vector<std::uint64_t> freq_;              // by slot
+  std::map<std::uint64_t, std::size_t> buckets_;  // freq -> list
+  std::vector<std::size_t> spare_;                // lists not in use
 };
 
 }  // namespace

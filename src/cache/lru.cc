@@ -1,75 +1,40 @@
-// LRU and FIFO policy cores.  Both keep an intrusive recency list; FIFO
-// simply never reorders on hit.
-#include <list>
-#include <unordered_map>
-
-#include "cache/policy.h"
-#include "support/check.h"
+// LRU and FIFO policy cores: one recency list; FIFO simply never
+// reorders on hit.
+#include "cache/slot_lists.h"
 
 namespace mlsc::cache {
 namespace {
 
-class ListPolicy : public PolicyCore {
+class ListPolicy final : public SlotPolicy {
  public:
-  ListPolicy(std::size_t capacity, bool move_on_hit, PolicyKind kind)
-      : capacity_(capacity), move_on_hit_(move_on_hit), kind_(kind) {
-    MLSC_CHECK(capacity_ > 0, "cache capacity must be positive");
-  }
-
-  bool contains(ChunkId id) const override { return index_.count(id) != 0; }
+  ListPolicy(std::size_t capacity, PolicyKind kind)
+      : SlotPolicy(kind, capacity, /*ghost_slots=*/0, /*resident_lists=*/1,
+                   /*ghost_lists=*/0) {}
 
   bool touch(ChunkId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    if (move_on_hit_) {
-      order_.splice(order_.begin(), order_, it->second);
-    }
+    const Slot slot = lists_.find(id);
+    if (slot == kNone) return false;
+    if (kind() == PolicyKind::kLru) lists_.move_front(slot, 0);
     return true;
   }
 
   std::optional<ChunkId> insert(ChunkId id) override {
     if (touch(id)) return std::nullopt;
     std::optional<ChunkId> evicted;
-    if (order_.size() == capacity_) {
-      evicted = order_.back();
-      index_.erase(order_.back());
-      order_.pop_back();
-    }
-    order_.push_front(id);
-    index_[id] = order_.begin();
+    if (size() == capacity()) evicted = lists_.pop_back(0);
+    lists_.push_front(0, id);  // front = most recently inserted/used
     return evicted;
   }
-
-  bool erase(ChunkId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    order_.erase(it->second);
-    index_.erase(it);
-    return true;
-  }
-
-  std::size_t size() const override { return order_.size(); }
-  std::size_t capacity() const override { return capacity_; }
-  PolicyKind kind() const override { return kind_; }
-
- private:
-  std::size_t capacity_;
-  bool move_on_hit_;
-  PolicyKind kind_;
-  std::list<ChunkId> order_;  // front = most recently inserted/used
-  std::unordered_map<ChunkId, std::list<ChunkId>::iterator> index_;
 };
 
 }  // namespace
 
 std::unique_ptr<PolicyCore> make_lru_policy(std::size_t capacity) {
-  return std::make_unique<ListPolicy>(capacity, /*move_on_hit=*/true,
-                                      PolicyKind::kLru);
+  return std::make_unique<ListPolicy>(capacity, PolicyKind::kLru);
 }
 
 std::unique_ptr<PolicyCore> make_fifo_policy(std::size_t capacity) {
-  return std::make_unique<ListPolicy>(capacity, /*move_on_hit=*/false,
-                                      PolicyKind::kFifo);
+  return std::make_unique<ListPolicy>(capacity, PolicyKind::kFifo);
 }
 
 }  // namespace mlsc::cache

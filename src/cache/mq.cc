@@ -2,96 +2,61 @@
 // who designed it for exactly the second-level buffer caches this library
 // simulates.  Blocks live in m LRU queues; queue index = floor(log2(freq))
 // capped at m-1.  Blocks expire to the next lower queue after lifeTime
-// accesses without a reference.  A ghost history (Qout) remembers the
-// frequency of recently evicted blocks so they re-enter at full rank.
-#include <cmath>
-#include <list>
-#include <unordered_map>
+// accesses without a reference.  A ghost history (Qout, 4x capacity)
+// remembers the frequency of recently evicted blocks so they re-enter at
+// full rank.
+#include <algorithm>
 #include <vector>
 
-#include "cache/policy.h"
-#include "support/check.h"
+#include "cache/slot_lists.h"
 
 namespace mlsc::cache {
 namespace {
 
 constexpr std::size_t kNumQueues = 8;
+constexpr std::size_t kQout = kNumQueues;  // the ghost list
 
-class MqPolicy : public PolicyCore {
+class MqPolicy final : public SlotPolicy {
  public:
   explicit MqPolicy(std::size_t capacity)
-      : capacity_(capacity),
+      : SlotPolicy(PolicyKind::kMq, capacity, /*ghost_slots=*/4 * capacity,
+                   /*resident_lists=*/kNumQueues, /*ghost_lists=*/1),
         // Zhou et al. recommend lifeTime on the order of the temporal
         // distance between correlated accesses; capacity is a serviceable
         // default for a trace-driven simulator.
         life_time_(std::max<std::uint64_t>(64, capacity)),
-        queues_(kNumQueues) {
-    MLSC_CHECK(capacity_ > 0, "cache capacity must be positive");
-    ghost_capacity_ = std::max<std::size_t>(1, 4 * capacity_);
-  }
-
-  bool contains(ChunkId id) const override { return blocks_.count(id) != 0; }
+        freq_(lists_.slots()),
+        expire_(lists_.slots()) {}
 
   bool touch(ChunkId id) override {
     ++now_;
     check_expiration();
-    auto it = blocks_.find(id);
-    if (it == blocks_.end()) return false;
-    Block& b = it->second;
-    queues_[b.queue].erase(b.pos);
-    ++b.freq;
-    b.queue = queue_for(b.freq);
-    b.expire = now_ + life_time_;
-    queues_[b.queue].push_front(id);
-    b.pos = queues_[b.queue].begin();
+    const Slot slot = lists_.find(id);
+    if (!resident(slot)) return false;
+    ++freq_[slot];
+    expire_[slot] = now_ + life_time_;
+    lists_.move_front(slot, queue_for(freq_[slot]));  // front = MRU
     return true;
   }
 
   std::optional<ChunkId> insert(ChunkId id) override {
     if (touch(id)) return std::nullopt;
     std::optional<ChunkId> evicted;
-    if (blocks_.size() == capacity_) evicted = evict();
-
-    std::uint64_t freq = 1;
-    if (auto ghost_it = ghost_.find(id); ghost_it != ghost_.end()) {
-      freq = ghost_it->second.freq + 1;
-      ghost_order_.erase(ghost_it->second.pos);
-      ghost_.erase(ghost_it);
+    if (size() == capacity()) evicted = evict();
+    // Looked up after evict(), which may age this chunk's ghost out.
+    Slot slot = lists_.find(id);
+    if (slot != kNone) {
+      ++freq_[slot];  // a ghost re-enters one above its remembered rank
+      lists_.move_front(slot, queue_for(freq_[slot]));
+    } else {
+      slot = lists_.push_front(queue_for(1), id);
+      freq_[slot] = 1;
     }
-    Block b;
-    b.freq = freq;
-    b.queue = queue_for(freq);
-    b.expire = now_ + life_time_;
-    queues_[b.queue].push_front(id);
-    b.pos = queues_[b.queue].begin();
-    blocks_[id] = b;
+    expire_[slot] = now_ + life_time_;
     return evicted;
   }
 
-  bool erase(ChunkId id) override {
-    auto it = blocks_.find(id);
-    if (it == blocks_.end()) return false;
-    queues_[it->second.queue].erase(it->second.pos);
-    blocks_.erase(it);
-    return true;
-  }
-
-  std::size_t size() const override { return blocks_.size(); }
-  std::size_t capacity() const override { return capacity_; }
-  PolicyKind kind() const override { return PolicyKind::kMq; }
-
  private:
-  struct Block {
-    std::uint64_t freq = 0;
-    std::size_t queue = 0;
-    std::uint64_t expire = 0;
-    std::list<ChunkId>::iterator pos;
-  };
-  struct GhostEntry {
-    std::uint64_t freq = 0;
-    std::list<ChunkId>::iterator pos;
-  };
-
   static std::size_t queue_for(std::uint64_t freq) {
     std::size_t q = 0;
     while (freq > 1 && q + 1 < kNumQueues) {
@@ -104,50 +69,30 @@ class MqPolicy : public PolicyCore {
   /// Demotes the LRU block of each queue whose lifetime expired.
   void check_expiration() {
     for (std::size_t q = 1; q < kNumQueues; ++q) {
-      if (queues_[q].empty()) continue;
-      const ChunkId tail = queues_[q].back();
-      Block& b = blocks_.at(tail);
-      if (b.expire < now_) {
-        queues_[q].pop_back();
-        b.queue = q - 1;
-        b.expire = now_ + life_time_;
-        queues_[q - 1].push_front(tail);
-        b.pos = queues_[q - 1].begin();
-      }
+      const Slot tail = lists_.back(q);
+      if (tail == kNone || expire_[tail] >= now_) continue;
+      expire_[tail] = now_ + life_time_;
+      lists_.move_front(tail, q - 1);
     }
   }
 
+  /// Evicts the LRU block of the lowest non-empty queue into Qout; the
+  /// slot keeps its frequency.
   ChunkId evict() {
-    for (auto& queue : queues_) {
-      if (queue.empty()) continue;
-      const ChunkId victim = queue.back();
-      queue.pop_back();
-      const std::uint64_t freq = blocks_.at(victim).freq;
-      blocks_.erase(victim);
-      remember_ghost(victim, freq);
-      return victim;
+    std::size_t q = 0;
+    while (lists_.size(q) == 0) ++q;
+    const Slot victim = lists_.back(q);
+    lists_.move_front(victim, kQout);
+    if (lists_.size(kQout) > 4 * capacity()) {
+      lists_.remove(lists_.back(kQout));
     }
-    MLSC_CHECK(false, "evict() called on an empty cache");
-    return 0;  // unreachable
+    return lists_.chunk(victim);
   }
 
-  void remember_ghost(ChunkId id, std::uint64_t freq) {
-    ghost_order_.push_front(id);
-    ghost_[id] = GhostEntry{freq, ghost_order_.begin()};
-    if (ghost_order_.size() > ghost_capacity_) {
-      ghost_.erase(ghost_order_.back());
-      ghost_order_.pop_back();
-    }
-  }
-
-  std::size_t capacity_;
-  std::size_t ghost_capacity_;
   std::uint64_t life_time_;
   std::uint64_t now_ = 0;
-  std::vector<std::list<ChunkId>> queues_;  // front = MRU within queue
-  std::unordered_map<ChunkId, Block> blocks_;
-  std::unordered_map<ChunkId, GhostEntry> ghost_;
-  std::list<ChunkId> ghost_order_;
+  std::vector<std::uint64_t> freq_;    // by slot
+  std::vector<std::uint64_t> expire_;  // by slot
 };
 
 }  // namespace

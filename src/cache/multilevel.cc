@@ -1,5 +1,7 @@
 #include "cache/multilevel.h"
 
+#include <array>
+
 #include "obs/cache_insight.h"
 #include "obs/metrics.h"
 #include "support/check.h"
@@ -62,6 +64,28 @@ MultiLevelCache::MultiLevelCache(const topology::HierarchyTree& tree,
       caches_[id]->bind_metrics(metric_prefix(node.kind));
     }
   }
+  cached_paths_.resize(tree_.num_nodes());
+  for (topology::NodeId id = 0; id < tree_.num_nodes(); ++id) {
+    for (topology::NodeId node : tree_.path_to_root(id)) {
+      if (caches_[node] != nullptr) cached_paths_[id].push_back(node);
+    }
+    MLSC_CHECK(cached_paths_[id].size() <= kMaxCachedLevels,
+               "more than " << kMaxCachedLevels << " cached levels above "
+                            << tree_.node(id).name);
+  }
+}
+
+topology::NodeId MultiLevelCache::sibling_holding(topology::NodeId node,
+                                                  ChunkId chunk) const {
+  const topology::NodeId parent = tree_.node(node).parent;
+  if (parent == topology::kInvalidNode) return topology::kInvalidNode;
+  for (topology::NodeId sibling : tree_.node(parent).children) {
+    if (sibling != node && caches_[sibling] != nullptr &&
+        failed_[sibling] == 0 && caches_[sibling]->contains(chunk)) {
+      return sibling;
+    }
+  }
+  return topology::kInvalidNode;
 }
 
 const StorageCache& MultiLevelCache::cache(topology::NodeId node) const {
@@ -128,67 +152,40 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
                                      bool is_write) {
   MLSC_CHECK(tree_.node(client).kind == topology::NodeKind::kCompute,
              "accesses must originate at a compute node");
-  const auto path = tree_.path_to_root(client);
-
   AccessResult result;
-  std::vector<topology::NodeId> missed;  // cached nodes probed and missed
-  for (topology::NodeId node : path) {
-    if (caches_[node] == nullptr) continue;
+  // Cached nodes probed and missed, in walk order.
+  std::array<topology::NodeId, kMaxCachedLevels> missed{};
+  std::size_t num_missed = 0;
+  for (topology::NodeId node : cached_paths_[client]) {
+    // Degraded routing: a failed cache is detected (costing a failover
+    // penalty upstream), then its healthy siblings are probed before the
+    // walk falls through to the next level.  Cooperative caching probes
+    // the sibling compute nodes right after the client's own cache
+    // missed.
     if (failed_[node] != 0) {
-      // Degraded routing: a failed cache is detected (costing a failover
-      // penalty upstream), then its healthy siblings are probed before
-      // the walk falls through to the next level.
       ++result.failed_probes;
-      const topology::NodeId parent = tree_.node(node).parent;
-      if (parent != topology::kInvalidNode) {
-        for (topology::NodeId sibling : tree_.node(parent).children) {
-          if (sibling == node || caches_[sibling] == nullptr ||
-              failed_[sibling] != 0) {
-            continue;
-          }
-          if (caches_[sibling]->contains(chunk)) {
-            result.hit_node = sibling;
-            result.peer_hit = true;
-            break;
-          }
-        }
-        if (result.peer_hit) break;
+    } else {
+      ++result.caches_probed;
+      if (caches_[node]->access(chunk)) {
+        result.hit_node = node;
+        break;
       }
-      continue;
+      missed[num_missed++] = node;
+      if (!cooperative_ || node != client) continue;
     }
-    ++result.caches_probed;
-    if (caches_[node]->access(chunk)) {
-      result.hit_node = node;
+    const topology::NodeId peer = sibling_holding(node, chunk);
+    if (peer != topology::kInvalidNode) {
+      result.hit_node = peer;
+      result.peer_hit = true;
       break;
-    }
-    missed.push_back(node);
-
-    // Cooperative caching: right after the client's own cache missed,
-    // probe the sibling compute nodes under the same parent.
-    if (cooperative_ && node == client) {
-      const topology::NodeId parent = tree_.node(client).parent;
-      if (parent != topology::kInvalidNode) {
-        for (topology::NodeId sibling : tree_.node(parent).children) {
-          if (sibling == client || caches_[sibling] == nullptr ||
-              failed_[sibling] != 0) {
-            continue;
-          }
-          if (caches_[sibling]->contains(chunk)) {
-            result.hit_node = sibling;
-            result.peer_hit = true;
-            break;
-          }
-        }
-        if (result.peer_hit) break;
-      }
     }
   }
 
   switch (placement_) {
     case PlacementMode::kAccessBased:
       // Fill every cache that missed on the way to the hit/disk.
-      for (topology::NodeId node : missed) {
-        fill(node, chunk, /*dirty=*/false, result.writebacks_to_disk);
+      for (std::size_t i = 0; i < num_missed; ++i) {
+        fill(missed[i], chunk, /*dirty=*/false, result.writebacks_to_disk);
       }
       break;
     case PlacementMode::kEvictionBased:
@@ -196,13 +193,12 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
       // Fill only the cache closest to the client; evictions trickle down
       // via fill().  Exclusive placement additionally removes the chunk
       // from the shared cache that hit.
-      if (!missed.empty()) {
-        fill(missed.front(), chunk, /*dirty=*/false,
-             result.writebacks_to_disk);
+      if (num_missed != 0) {
+        fill(missed[0], chunk, /*dirty=*/false, result.writebacks_to_disk);
       }
       if (placement_ == PlacementMode::kExclusive &&
           result.hit_node != topology::kInvalidNode &&
-          result.hit_node != client && !result.peer_hit && !missed.empty()) {
+          result.hit_node != client && !result.peer_hit && num_missed != 0) {
         caches_[result.hit_node]->erase(chunk);
       }
       break;
@@ -218,8 +214,8 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
 std::uint32_t MultiLevelCache::install(topology::NodeId client,
                                        ChunkId chunk) {
   std::uint32_t writebacks = 0;
-  for (topology::NodeId node : tree_.path_to_root(client)) {
-    if (caches_[node] == nullptr || failed_[node] != 0) continue;
+  for (topology::NodeId node : cached_paths_[client]) {
+    if (failed_[node] != 0) continue;
     if (!caches_[node]->contains(chunk)) {
       fill(node, chunk, /*dirty=*/false, writebacks);
     }
@@ -229,9 +225,8 @@ std::uint32_t MultiLevelCache::install(topology::NodeId client,
 
 bool MultiLevelCache::resident_on_path(topology::NodeId client,
                                        ChunkId chunk) const {
-  for (topology::NodeId node : tree_.path_to_root(client)) {
-    if (caches_[node] != nullptr && failed_[node] == 0 &&
-        caches_[node]->contains(chunk)) {
+  for (topology::NodeId node : cached_paths_[client]) {
+    if (failed_[node] == 0 && caches_[node]->contains(chunk)) {
       return true;
     }
   }

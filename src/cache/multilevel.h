@@ -124,6 +124,14 @@ class MultiLevelCache {
   std::uint64_t chunk_size_bytes() const { return chunk_size_; }
 
  private:
+  /// Longest run of cached nodes on one path to the root.
+  static constexpr std::size_t kMaxCachedLevels = 16;
+
+  /// The first healthy sibling cache of `node` holding the chunk, or
+  /// kInvalidNode; probes with contains(), so no stats are counted.
+  topology::NodeId sibling_holding(topology::NodeId node,
+                                   ChunkId chunk) const;
+
   /// Inserts into one cache, cascading dirty/eviction-based evictions to
   /// the nearest cached ancestor; counts write-backs that leave the tree.
   void fill(topology::NodeId node, ChunkId chunk, bool dirty,
@@ -137,6 +145,8 @@ class MultiLevelCache {
   std::vector<std::unique_ptr<StorageCache>> caches_;  // by node id
   std::vector<char> failed_;                           // by node id
   std::vector<std::size_t> base_chunks_;               // healthy capacity
+  // By node id: the cached nodes from it up to the root, in walk order.
+  std::vector<std::vector<topology::NodeId>> cached_paths_;
 };
 
 }  // namespace mlsc::cache

@@ -4,11 +4,12 @@
 // approach "can work with any storage caching policy"; the policy
 // ablation bench exercises that claim with the alternatives studied in
 // its related work (FIFO, CLOCK, LFU, 2Q, MQ — Zhou et al.'s multi-queue
-// policy for second-level buffer caches).
+// policy for second-level buffer caches — and ARC).
 //
 // A PolicyCore owns the resident set: membership, hit recency state, and
-// victim selection live together so policies with ghost state (2Q, MQ)
-// fit the same interface.
+// victim selection live together so policies with ghost state (2Q, MQ,
+// ARC) fit the same interface.  Every core is built on the slot-pool
+// list kernel of cache/slot_lists.h.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,8 @@ enum class PolicyKind { kLru, kFifo, kClock, kLfu, kTwoQ, kMq, kArc };
 
 const char* policy_kind_name(PolicyKind kind);
 
-/// Parses "lru", "fifo", "clock", "lfu", "2q", "mq"; throws on others.
+/// Parses "lru", "fifo", "clock", "lfu", "2q", "mq", "arc"; throws on
+/// others.
 PolicyKind parse_policy_kind(const std::string& name);
 
 class PolicyCore {

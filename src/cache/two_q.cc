@@ -3,117 +3,62 @@
 // ghost queue (A1out, ids only, 50% of capacity) promotes the chunk to
 // the main LRU queue (Am).  Hits in A1in leave the chunk in place, as in
 // the original algorithm.
-#include <list>
-#include <unordered_map>
+#include <algorithm>
 
-#include "cache/policy.h"
-#include "support/check.h"
+#include "cache/slot_lists.h"
 
 namespace mlsc::cache {
 namespace {
 
-class TwoQPolicy : public PolicyCore {
- public:
-  explicit TwoQPolicy(std::size_t capacity) : capacity_(capacity) {
-    MLSC_CHECK(capacity_ > 0, "cache capacity must be positive");
-    a1in_capacity_ = std::max<std::size_t>(1, capacity_ / 4);
-    ghost_capacity_ = std::max<std::size_t>(1, capacity_ / 2);
-  }
+enum : std::size_t { kA1in, kAm, kA1out };
 
-  bool contains(ChunkId id) const override {
-    auto it = where_.find(id);
-    return it != where_.end() && it->second.queue != Queue::kGhost;
-  }
+class TwoQPolicy final : public SlotPolicy {
+ public:
+  explicit TwoQPolicy(std::size_t capacity)
+      : SlotPolicy(PolicyKind::kTwoQ, capacity, ghost_bound(capacity),
+                   /*resident_lists=*/2, /*ghost_lists=*/1),
+        a1in_capacity_(std::max<std::size_t>(1, capacity / 4)) {}
 
   bool touch(ChunkId id) override {
-    auto it = where_.find(id);
-    if (it == where_.end() || it->second.queue == Queue::kGhost) return false;
-    if (it->second.queue == Queue::kAm) {
-      am_.splice(am_.begin(), am_, it->second.pos);
-    }
+    const Slot slot = lists_.find(id);
+    if (!resident(slot)) return false;
     // Hits in A1in do not reorder (2Q's "correlated reference" rule).
+    if (lists_.list_of(slot) == kAm) lists_.move_front(slot, kAm);
     return true;
   }
 
   std::optional<ChunkId> insert(ChunkId id) override {
     if (touch(id)) return std::nullopt;
-    auto it = where_.find(id);
-    std::optional<ChunkId> evicted;
-    if (it != where_.end()) {
-      // Ghost hit: promote into Am.
-      ghost_.erase(it->second.pos);
-      where_.erase(it);
-      evicted = make_room();
-      am_.push_front(id);
-      where_[id] = Entry{Queue::kAm, am_.begin()};
-      return evicted;
-    }
-    evicted = make_room();
-    a1in_.push_front(id);
-    where_[id] = Entry{Queue::kA1in, a1in_.begin()};
+    // A ghost hit promotes into Am.  The ghost entry leaves first, so
+    // make_room() trims A1out without counting it.
+    const Slot ghost = lists_.find(id);
+    if (ghost != kNone) lists_.remove(ghost);
+    const auto evicted = make_room();
+    lists_.push_front(ghost != kNone ? kAm : kA1in, id);
     return evicted;
   }
 
-  bool erase(ChunkId id) override {
-    auto it = where_.find(id);
-    if (it == where_.end() || it->second.queue == Queue::kGhost) return false;
-    queue_list(it->second.queue).erase(it->second.pos);
-    where_.erase(it);
-    return true;
-  }
-
-  std::size_t size() const override { return a1in_.size() + am_.size(); }
-  std::size_t capacity() const override { return capacity_; }
-  PolicyKind kind() const override { return PolicyKind::kTwoQ; }
-
  private:
-  enum class Queue { kA1in, kAm, kGhost };
-  struct Entry {
-    Queue queue;
-    std::list<ChunkId>::iterator pos;
-  };
-
-  std::list<ChunkId>& queue_list(Queue q) {
-    switch (q) {
-      case Queue::kA1in:
-        return a1in_;
-      case Queue::kAm:
-        return am_;
-      case Queue::kGhost:
-        return ghost_;
-    }
-    MLSC_CHECK(false, "bad queue");
-    return am_;  // unreachable
+  static std::size_t ghost_bound(std::size_t capacity) {
+    return std::max<std::size_t>(1, capacity / 2);
   }
 
   /// Frees one resident slot if at capacity; returns the evicted chunk.
   std::optional<ChunkId> make_room() {
-    if (size() < capacity_) return std::nullopt;
-    if (a1in_.size() > a1in_capacity_ || am_.empty()) {
-      // Reclaim from A1in: the victim's id is remembered in the ghost.
-      const ChunkId victim = a1in_.back();
-      a1in_.pop_back();
-      ghost_.push_front(victim);
-      where_[victim] = Entry{Queue::kGhost, ghost_.begin()};
-      if (ghost_.size() > ghost_capacity_) {
-        where_.erase(ghost_.back());
-        ghost_.pop_back();
-      }
-      return victim;
+    if (size() < capacity()) return std::nullopt;
+    if (lists_.size(kA1in) <= a1in_capacity_ && lists_.size(kAm) != 0) {
+      return lists_.pop_back(kAm);
     }
-    const ChunkId victim = am_.back();
-    am_.pop_back();
-    where_.erase(victim);
-    return victim;
+    // Reclaim from A1in: the victim's id is remembered in the ghost.
+    const Slot victim = lists_.back(kA1in);
+    lists_.move_front(victim, kA1out);
+    if (lists_.size(kA1out) > ghost_bound(capacity())) {
+      lists_.remove(lists_.back(kA1out));
+    }
+    return lists_.chunk(victim);
   }
 
-  std::size_t capacity_;
   std::size_t a1in_capacity_;
-  std::size_t ghost_capacity_;
-  std::list<ChunkId> a1in_;   // FIFO probation queue
-  std::list<ChunkId> am_;     // main LRU queue
-  std::list<ChunkId> ghost_;  // A1out: recently evicted ids, no data
-  std::unordered_map<ChunkId, Entry> where_;
 };
 
 }  // namespace

@@ -174,5 +174,36 @@ TEST(MultiLevel, UncachedDummyRootIsSkipped) {
   EXPECT_EQ(r.caches_probed, 3u);  // dummy root probes nothing
 }
 
+/// Both sibling probes: cooperative caching after the client's own miss,
+/// and degraded routing past a failed cache.  A peer hit stops the walk,
+/// and only the healthy caches that missed are filled.
+TEST(MultiLevel, SiblingProbesServeCooperativeAndDegradedMisses) {
+  auto tree = small_tree();
+  MultiLevelCache mlc(tree, 64, PolicyKind::kLru);
+  mlc.set_cooperative(true);
+  const auto c0 = tree.clients()[0];
+  const auto c1 = tree.clients()[1];
+  const auto c2 = tree.clients()[2];
+  mlc.access(c0, 5);  // fills CN0, IO0, SN0
+
+  const auto coop = mlc.access(c1, 5);
+  EXPECT_EQ(coop.hit_node, c0);
+  EXPECT_TRUE(coop.peer_hit);
+  EXPECT_EQ(coop.caches_probed, 1u);
+  EXPECT_EQ(coop.failed_probes, 0u);
+  EXPECT_TRUE(mlc.cache(c1).contains(5));
+
+  const auto io1 = tree.node(c2).parent;
+  mlc.set_node_failed(io1, true);
+  const auto degraded = mlc.access(c2, 5);  // CN3 lacks it; IO1 failed
+  EXPECT_EQ(degraded.hit_node, tree.node(c0).parent);
+  EXPECT_TRUE(degraded.peer_hit);
+  EXPECT_EQ(degraded.caches_probed, 1u);
+  EXPECT_EQ(degraded.failed_probes, 1u);
+  EXPECT_TRUE(mlc.cache(c2).contains(5));
+  EXPECT_FALSE(mlc.cache(io1).contains(5));
+  EXPECT_TRUE(mlc.resident_on_path(c2, 5));
+}
+
 }  // namespace
 }  // namespace mlsc::cache

@@ -2,10 +2,14 @@
 // invariants and an LRU reference-model property test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <map>
+#include <set>
 #include <unordered_set>
 
 #include "cache/policy.h"
+#include "cache/slot_lists.h"
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -15,7 +19,8 @@ namespace {
 TEST(PolicyNames, RoundTrip) {
   for (PolicyKind kind :
        {PolicyKind::kLru, PolicyKind::kFifo, PolicyKind::kClock,
-        PolicyKind::kLfu, PolicyKind::kTwoQ, PolicyKind::kMq}) {
+        PolicyKind::kLfu, PolicyKind::kTwoQ, PolicyKind::kMq,
+        PolicyKind::kArc}) {
     EXPECT_EQ(parse_policy_kind(policy_kind_name(kind)), kind);
   }
   EXPECT_THROW(parse_policy_kind("belady"), Error);
@@ -176,6 +181,154 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyInvariantTest,
                          [](const auto& info) {
                            return std::string(policy_kind_name(info.param));
                          });
+
+/// Decision fingerprint: a seeded touch/insert/erase stream over ~4x
+/// capacity distinct chunks (a quarter of the picks from a hot set of
+/// capacity/2 chunks, so hits, ghost hits and re-references all occur),
+/// with every outcome -- hit or miss, evicted id or none, erase result,
+/// size -- folded into a 64-bit FNV-1a hash.  The constants pin every
+/// replacement decision of every policy bit for bit.
+std::uint64_t decision_fingerprint(PolicyKind kind, std::size_t capacity) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  const auto fold = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFFu;
+      hash *= 0x100000001B3ull;
+    }
+  };
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  auto p = make_policy(kind, capacity);
+  Rng rng(0xF1A9 + capacity);
+  const std::uint64_t hot = std::max<std::size_t>(1, capacity / 2);
+  const std::size_t steps = 2000 + 40 * capacity;
+  for (std::size_t step = 0; step < steps; ++step) {
+    const auto chunk = static_cast<ChunkId>(
+        rng.next_below(4) == 0 ? rng.next_below(hot)
+                               : rng.next_below(4 * capacity));
+    const auto action = rng.next_below(20);
+    if (action < 12) {
+      const bool hit = p->touch(chunk);
+      fold(hit ? 1 : 0);
+      if (!hit) {
+        const auto evicted = p->insert(chunk);
+        fold(evicted.has_value() ? *evicted : kNone);
+      }
+    } else if (action < 18) {
+      const auto evicted = p->insert(chunk);
+      fold(evicted.has_value() ? *evicted : kNone);
+    } else {
+      fold(p->erase(chunk) ? 2 : 3);
+    }
+    fold(p->size());
+  }
+  return hash;
+}
+
+TEST(PolicyFingerprint, DecisionsMatchRecordedConstants) {
+  struct Expected {
+    PolicyKind kind;
+    std::uint64_t hash[6];
+  };
+  const std::size_t capacities[6] = {1, 2, 3, 7, 64, 512};
+  const Expected expected[] = {
+      {PolicyKind::kLru,
+       {0xd83e8f1f57cfe1bdull, 0xe4c260a4f9751603ull, 0xddea1dcadd5bb216ull,
+        0xc51a7e334c106e74ull, 0x0b8dab622494eb16ull, 0xa43ff73dc20cd64dull}},
+      {PolicyKind::kFifo,
+       {0xd83e8f1f57cfe1bdull, 0xe3f592a8dd37021eull, 0x386491c9e199407eull,
+        0x944b38f9918549bcull, 0x42f234e8184ec4a1ull, 0xe92cc728051d2bc5ull}},
+      {PolicyKind::kClock,
+       {0xd83e8f1f57cfe1bdull, 0xce835eb233c8836aull, 0x7b4071e2093d5413ull,
+        0x1b88347041ff8d69ull, 0x50ad163e8c5326e1ull, 0xc9092000e0c6e395ull}},
+      {PolicyKind::kLfu,
+       {0xd83e8f1f57cfe1bdull, 0x32ef19003a11cd3bull, 0x62380df9418f5da4ull,
+        0xdf6cc5f892ff07bfull, 0xd3e61de4dcfb7f37ull, 0xf50676cb24093703ull}},
+      {PolicyKind::kTwoQ,
+       {0xd83e8f1f57cfe1bdull, 0x84abda5cd5674decull, 0xdf9bf09ec3467dd8ull,
+        0x5463b0c6db40fb4cull, 0xae2447a9081d2448ull, 0x84b0682f9f0b93c0ull}},
+      {PolicyKind::kMq,
+       {0xd83e8f1f57cfe1bdull, 0x101af47f75f726feull, 0xc6c5b5ff6a8fc8c3ull,
+        0xb1587df875084d9cull, 0x78f1a0ff8fb506d5ull, 0x04e757f51599470bull}},
+      {PolicyKind::kArc,
+       {0xd83e8f1f57cfe1bdull, 0x6038c6c2bfd6cfeeull, 0x37ac54843a7d66fcull,
+        0xbed614a28048dec3ull, 0x1a9114aca46bc6efull, 0x42d0948be32d454bull}},
+  };
+  for (const Expected& e : expected) {
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(decision_fingerprint(e.kind, capacities[i]), e.hash[i])
+          << policy_kind_name(e.kind) << " at capacity " << capacities[i];
+    }
+  }
+}
+
+/// The policy kernel against a reference model: random push/move/remove
+/// over more ids than slots (so probe runs collide and backward-shift
+/// deletion moves entries), checking every id's find(), each list's
+/// order and size, and that a push takes the lowest free slot.
+TEST(SlotLists, MatchesReferenceModel) {
+  constexpr std::size_t kSlots = 48;
+  constexpr std::size_t kLists = 3;
+  SlotLists lists(kSlots, kLists);
+  std::map<ChunkId, SlotLists::Slot> slot_of;
+  std::deque<ChunkId> order[kLists];  // front = list front
+  std::set<SlotLists::Slot> free_slots;
+  for (SlotLists::Slot s = 0; s < kSlots; ++s) free_slots.insert(s);
+  const auto unlink = [&order](ChunkId id) {
+    for (auto& list : order) {
+      auto it = std::find(list.begin(), list.end(), id);
+      if (it != list.end()) list.erase(it);
+    }
+  };
+  Rng rng(17);
+  for (int step = 0; step < 20000; ++step) {
+    const auto id = static_cast<ChunkId>(rng.next_below(160) * 7);
+    const auto list = static_cast<std::size_t>(rng.next_below(kLists));
+    const auto it = slot_of.find(id);
+    if (it == slot_of.end()) {
+      if (free_slots.empty()) continue;
+      const SlotLists::Slot slot = lists.push_front(list, id);
+      EXPECT_EQ(slot, *free_slots.begin());
+      free_slots.erase(slot);
+      slot_of[id] = slot;
+      order[list].push_front(id);
+    } else if (rng.next_below(2) == 0) {
+      lists.move_front(it->second, list);
+      unlink(id);
+      order[list].push_front(id);
+    } else {
+      lists.remove(it->second);
+      free_slots.insert(it->second);
+      slot_of.erase(it);
+      unlink(id);
+    }
+    EXPECT_EQ(lists.used(), slot_of.size());
+    for (std::size_t l = 0; l < kLists; ++l) {
+      ASSERT_EQ(lists.size(l), order[l].size());
+      const SlotLists::Slot tail = lists.back(l);
+      if (order[l].empty()) {
+        EXPECT_EQ(tail, SlotLists::kNone);
+      } else {
+        EXPECT_EQ(lists.chunk(tail), order[l].back());
+        EXPECT_EQ(lists.list_of(tail), l);
+      }
+    }
+    if (step % 97 == 0) {
+      for (ChunkId probe = 0; probe < 160 * 7; ++probe) {
+        const auto ref = slot_of.find(probe);
+        ASSERT_EQ(lists.find(probe),
+                  ref == slot_of.end() ? SlotLists::kNone : ref->second)
+            << "id " << probe << " at step " << step;
+      }
+    }
+  }
+  for (auto& list : order) {  // drain each list from the back
+    while (!list.empty()) {
+      EXPECT_EQ(lists.pop_back(&list - order), list.back());
+      list.pop_back();
+    }
+  }
+  EXPECT_EQ(lists.used(), 0u);
+}
 
 /// Property: the LRU core matches a simple deque reference model exactly.
 TEST(LruProperty, MatchesReferenceModel) {

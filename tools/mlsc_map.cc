@@ -7,7 +7,7 @@
 // Usage:
 //   mlsc_map [--workload NAME] [--scheme original|intra|inter|sched]
 //            [--clients N] [--io N] [--storage N]
-//            [--chunk BYTES] [--policy lru|fifo|clock|lfu|2q|mq]
+//            [--chunk BYTES] [--policy lru|fifo|clock|lfu|2q|mq|arc]
 //            [--placement access|eviction|exclusive]
 //            [--balance FRACTION] [--alpha A] [--beta B]
 //            [--write-back] [--cooperative] [--readahead N]
@@ -57,7 +57,7 @@ void print_usage(std::ostream& out, const char* argv0) {
       << "  --scheme KIND       original | intra | inter | sched (default inter)\n"
       << "  --clients/--io/--storage N   topology (default 64/32/16)\n"
       << "  --chunk BYTES       data chunk size (default 65536)\n"
-      << "  --policy NAME       lru|fifo|clock|lfu|2q|mq (default lru)\n"
+      << "  --policy NAME       lru|fifo|clock|lfu|2q|mq|arc (default lru)\n"
       << "  --placement NAME    access|eviction|exclusive (default access)\n"
       << "  --balance F         BThres fraction (default 0.10)\n"
       << "  --alpha A --beta B  scheduler weights (default 0.5/0.5)\n"
